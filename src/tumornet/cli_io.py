@@ -122,7 +122,10 @@ def parse_config(text: str) -> ModelConfig:
     Missing optional keys fall back to the ModelConfig defaults; n_initial
     is required. Every diagnostic names the offending line.
     """
-    pairs = _parse_pairs(text, _CONFIG_KEYS)
+    return _config_from_pairs(_parse_pairs(text, _CONFIG_KEYS))
+
+
+def _config_from_pairs(pairs: dict[str, tuple[int, str]]) -> ModelConfig:
     if "n_initial" not in pairs:
         raise InputError("missing required key 'n_initial'")
     kwargs: dict = {}
@@ -491,7 +494,7 @@ def _default_workers() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     text = Path(args.config).read_text()
     pairs = _parse_pairs(text, _CONFIG_KEYS)
-    config = parse_config(text)
+    config = _config_from_pairs(pairs)
     seed_defaulted = "seed" not in pairs and args.seed is None
     if args.seed is not None:
         config = replace(config, seed=args.seed)

@@ -2,7 +2,9 @@
 
 The engine is generic over the model object it drives. A model must expose:
 
-    graph          a graph_core.Graph (or anything with n_nodes/n_edges)
+    graph          a graph_core.Graph, append-only: nodes are only added and
+                   edges are never removed, so run() can check connectivity
+                   over the nodes each step added rather than the whole graph
     step_count     int, number of completed steps
     records        list the engine appends StepRecords to
     schedule_rng   numpy Generator used only for activation order
@@ -116,6 +118,12 @@ def run(model, max_steps: int) -> TimeSeries:
     evaluated after each step, so the record of the step that tripped one
     is always part of the series. A graph that starts disconnected stops
     the run right after the first step.
+
+    The connectivity verdict is exact every step, but only the first check
+    walks the whole graph. Once the graph has been seen connected with
+    `known` nodes, it stays so while every newer node has an older
+    neighbor (graph_core.linked_since); only when one lacks it does the full
+    is_connected search run again.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
@@ -123,11 +131,14 @@ def run(model, max_steps: int) -> TimeSeries:
         raise ValueError("run() requires a freshly initialized model")
     model.records.append(collect(model))
     termination = TERM_MAX_STEPS
+    known = 0
     while model.step_count < max_steps:
         record = step(model)
-        if not graph_core.is_connected(model.graph):
+        g = model.graph
+        if not (graph_core.linked_since(g, known) or graph_core.is_connected(g)):
             termination = TERM_DISCONNECTED
             break
+        known = g.n_nodes
         if record.count_live == 0:
             termination = TERM_EXTINCT
             break

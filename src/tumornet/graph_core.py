@@ -4,6 +4,10 @@ The graph is a plain adjacency-set list over dense integer node ids.
 Generation consumes random draws in a canonical order so the edge set is a
 pure function of (n, p, seed), which is what makes golden-file tests and
 cross-process sweeps possible.
+
+A Graph only grows: nodes are appended, edges are added, and nothing is
+ever removed. Nodes that were connected to each other therefore stay
+connected, which is what lets linked_since check only the newest nodes.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ class Graph:
 
     Node ids are assigned densely at creation and never reused. No
     self-loops, no parallel edges. The stored edge count always equals half
-    the degree sum.
+    the degree sum. Nodes are only appended and edges are never removed;
+    there is no API for either removal.
     """
 
     __slots__ = ("_adj", "_n_edges")
@@ -236,6 +241,20 @@ def is_connected(g: Graph) -> bool:
                 count += 1
                 stack.append(j)
     return count == n
+
+
+def linked_since(g: Graph, n_known: int) -> bool:
+    """True if every node with id >= n_known has a neighbor with a smaller id.
+
+    If nodes 0..n_known-1 were connected when g had n_known nodes, a True
+    here proves g connected: edges are never removed, so those nodes still
+    are, and by induction on the id each newer node reaches one of them
+    through its smaller neighbor. False proves nothing; fall back to
+    is_connected. Node 0 has no smaller neighbor, so n_known = 0 (no
+    connected prefix known yet) always gives False on a non-empty graph.
+    """
+    adj = g._adj
+    return all(min(adj[i], default=i) < i for i in range(n_known, len(adj)))
 
 
 def degree_sequence(g: Graph) -> DegreeSequence:

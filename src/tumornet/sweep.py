@@ -9,7 +9,9 @@ count can never show up in the output.
 from __future__ import annotations
 
 import itertools
+import os
 import statistics
+import sys
 from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
@@ -204,7 +206,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = N
     The result is identical for any worker count: runs are independent,
     seeded from the spec alone, and sorted by run_id before aggregation.
     With runs_dir set, each run's full time series lands there as
-    run<id>.csv. A failing run aborts the sweep, naming the run.
+    run<id>.csv. A failing run aborts the sweep, naming the run. No more
+    processes start than there are runs; more than os.cpu_count() draws a
+    warning on stderr.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -214,6 +218,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = N
         (run_id, run_id // spec.seeds_per_cell, config, dir_arg)
         for config, run_id in plans
     ]
+    workers = min(workers, len(tasks))
+    cpus = os.cpu_count()
+    if cpus is not None and workers > cpus:
+        print(f"warning: {workers} sweep workers on {cpus} CPUs", file=sys.stderr)
     if workers == 1:
         raw = [_execute(task) for task in tasks]
     else:

@@ -357,6 +357,12 @@ class TestCli:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["seed"] == 0
         assert summary["seed_defaulted"] is True
+        config = _write(tmp_path / "run.cfg", "n_initial=60\np=0.12\nmax_steps=2\nseed=0\n")
+        code, _, _ = _cli(["run", "--config", config, "--out", str(out_dir)])
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["seed"] == 0
+        assert summary["seed_defaulted"] is False
 
     def test_run_seed_flag_overrides(self, tmp_path):
         config = _write(tmp_path / "run.cfg", "n_initial=60\np=0.12\nmax_steps=2\n")

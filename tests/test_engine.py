@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tumornet import graph_core
 from tumornet.engine import (
     TERM_DISCONNECTED,
     TERM_EXTINCT,
@@ -14,7 +15,7 @@ from tumornet.engine import (
     run,
     step,
 )
-from tumornet.graph_core import Graph
+from tumornet.graph_core import Graph, add_node_linked
 
 
 class StubModel:
@@ -202,6 +203,40 @@ class TestRun:
         m.on_activate = kill_all
         series = run(m, max_steps=10)
         assert series.termination == TERM_DISCONNECTED
+
+    def test_isolated_node_after_connected_steps_disconnects(self):
+        m = StubModel(_connected_graph(3), n_agents=3)
+
+        def add_isolated_on_step_three(model, agent_id):
+            if model.step_count == 2 and model.graph.n_nodes == 3:
+                model.graph.add_node()
+
+        m.on_activate = add_isolated_on_step_three
+        series = run(m, max_steps=10)
+        assert series.termination == TERM_DISCONNECTED
+        assert len(series.records) == 4
+        assert series.records[-1].n_nodes == 4
+
+    def test_linked_growth_needs_one_full_search(self, monkeypatch):
+        calls = []
+        full_search = graph_core.is_connected
+
+        def counting(g):
+            calls.append(g.n_nodes)
+            return full_search(g)
+
+        monkeypatch.setattr(graph_core, "is_connected", counting)
+        m = StubModel(_connected_graph(3), n_agents=3)
+        rng = RngStream(0).substream("graph")
+
+        def grow(model, agent_id):
+            add_node_linked(model.graph, agent_id, 1, rng)
+
+        m.on_activate = grow
+        series = run(m, max_steps=50)
+        assert series.termination == TERM_MAX_STEPS
+        assert series.records[-1].n_nodes == 3 + 3 * 50
+        assert calls == [6]
 
     def test_negative_max_steps_rejected(self):
         with pytest.raises(ValueError):

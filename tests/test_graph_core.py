@@ -2,8 +2,11 @@
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tumornet.engine import RngStream
 from tumornet.graph_core import (
@@ -17,6 +20,7 @@ from tumornet.graph_core import (
     generate_er,
     generate_er_skip,
     is_connected,
+    linked_since,
     to_edge_list,
 )
 
@@ -199,6 +203,84 @@ class TestConnectivity:
         lo = sum(is_connected(generate_er(n, p_lo, _rng(10_000 + s))) for s in range(seeds))
         assert hi >= 0.95 * seeds
         assert lo <= 0.50 * seeds
+
+
+def _verdict(g, known):
+    """The engine's per-step check: the incremental proof, else a full search."""
+    return linked_since(g, known) or is_connected(g)
+
+
+def _apply(g, op, data, rng):
+    n = g.n_nodes
+    if op == "node":
+        g.add_node()
+    elif op == "linked":
+        anchor = data.draw(st.integers(0, n - 1))
+        add_node_linked(g, anchor, data.draw(st.integers(0, 3)), rng)
+    else:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if i != j and not g.has_edge(i, j):
+            g.add_edge(i, j)
+
+
+def _nx_connected(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n_nodes))
+    h.add_edges_from(g.edges())
+    return nx.is_connected(h)
+
+
+class TestLinkedSince:
+    def test_nothing_known_is_never_a_proof(self):
+        assert not linked_since(_path(4), 0)
+
+    def test_new_nodes_with_older_neighbors(self):
+        g = _path(3)
+        add_node_linked(g, 1, 0, _rng(0))
+        g.add_node()
+        g.add_edge(4, 3)
+        assert linked_since(g, 3)
+
+    def test_isolated_new_node(self):
+        g = _path(3)
+        g.add_node()
+        assert not linked_since(g, 3)
+        assert linked_since(g, 4)
+
+    def test_new_node_linked_only_to_a_newer_one(self):
+        g = _path(3)
+        g.add_node()
+        g.add_node()
+        g.add_edge(3, 4)
+        g.add_edge(4, 0)
+        assert not linked_since(g, 3)
+        assert is_connected(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        edge_bits=st.integers(0, 2**15 - 1),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_verdict_matches_networkx_across_batches(self, n, edge_bits, seed, data):
+        g = Graph(n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for bit, (i, j) in enumerate(pairs):
+            if edge_bits >> bit & 1:
+                g.add_edge(i, j)
+        rng = _rng(seed)
+        known = 0
+        batches = data.draw(
+            st.lists(st.lists(st.sampled_from(["node", "linked", "edge"]), max_size=5), max_size=6)
+        )
+        for batch in [[]] + batches:
+            for op in batch:
+                _apply(g, op, data, rng)
+            connected = _verdict(g, known)
+            assert connected == _nx_connected(g)
+            if connected:
+                known = g.n_nodes
 
 
 class TestDegreeSequence:

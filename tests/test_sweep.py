@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from tumornet import sweep
 from tumornet.metrics import TciClass
 from tumornet.sweep import (
     PRESETS,
@@ -156,6 +157,33 @@ class TestRunSweep:
     def test_invalid_worker_count(self):
         with pytest.raises(ConfigError):
             run_sweep(_tiny_spec(), workers=0)
+
+    def test_workers_clamped_to_run_count(self, monkeypatch, capsys):
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweep.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        spec = _tiny_spec(csc_counts=(40,), angiogenesis_values=(0.2,), max_steps=2)
+        clamped = run_sweep(spec, workers=5000)
+        assert requested == [3]
+        assert "3 sweep workers on 2 CPUs" in capsys.readouterr().err
+        run_sweep(spec, workers=2)
+        assert requested == [3, 2]
+        assert capsys.readouterr().err == ""
+        assert clamped.runs == run_sweep(spec).runs
 
     def test_worker_failure_names_the_run(self, tmp_path):
         # An unwritable runs_dir makes the first worker raise.
