@@ -53,8 +53,6 @@ from .sweep import (
     run_sweep,
 )
 from .tumor_model import (
-    CellAgent,
-    CellState,
     ConfigError,
     ControlFactors,
     MEDIUM_FACTORS,
@@ -70,9 +68,7 @@ from .cli_io import main, parse_config, parse_sweep_spec, plot_svg, serialize_co
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellAgent",
     "CellAggregate",
-    "CellState",
     "ConfigError",
     "ControlFactors",
     "DegreeSequence",

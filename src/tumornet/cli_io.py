@@ -535,7 +535,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     (out_dir / "runs.csv").write_text(format_sweep_runs(result.runs))
     print(
         f"sweep finished: {len(result.runs)} runs over {len(result.cells)} cells "
-        f"in {elapsed:.1f}s with {workers} worker(s), wrote {out_dir / 'summary.csv'}"
+        f"in {elapsed:.1f}s with {result.workers} worker(s), wrote {out_dir / 'summary.csv'}"
     )
     return 0
 

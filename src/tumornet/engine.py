@@ -9,7 +9,8 @@ The engine is generic over the model object it drives. A model must expose:
     records        list the engine appends StepRecords to
     schedule_rng   numpy Generator used only for activation order
     live_ids()     ids of live agents in ascending order
-    activate(id)   apply one agent's transition
+    activate(ids)  apply one step's transitions: every agent in ids acts
+                   once, in the order given; called once per step
     state_counts() (normal, quiescent, metastatic, dead) tallies
 
 Keeping the loop separate from the cell rules means scheduling and
@@ -98,13 +99,13 @@ def step(model) -> StepRecord:
 
     The live set is snapshotted before any activation, so agents spawned
     during the step wait for the next one. The permutation comes from the
-    model's "schedule" stream and is the only randomness consumed here.
+    model's "schedule" stream and is the only randomness consumed here; the
+    model gets the whole ordered list in one activate() call.
     """
     live = model.live_ids()
     if live:
         order = model.schedule_rng.permutation(len(live))
-        for k in order:
-            model.activate(live[k])
+        model.activate([live[k] for k in order.tolist()])
     model.step_count += 1
     record = collect(model)
     model.records.append(record)

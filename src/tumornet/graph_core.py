@@ -279,31 +279,32 @@ def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Gener
         raise ValueError(f"anchor node {anchor} does not exist")
     if k_extra < 0:
         raise ValueError(f"k_extra must be non-negative, got {k_extra}")
-    n_before = g.n_nodes
-    new = g.add_node()
-    g.add_edge(new, anchor)
+    adj = g._adj
+    n_before = len(adj)
     pool = n_before - 1
     k = min(k_extra, pool)
+    # The new node's neighbor set. Every edge below is valid by construction
+    # (a fresh node, distinct existing endpoints), so the add_edge checks are
+    # skipped and the edges are written straight into the adjacency sets.
     if k <= 0:
-        return new
-    if k >= pool:
-        chosen = [i for i in range(n_before) if i != anchor]
+        nbrs = {anchor}
+    elif k >= pool:
+        nbrs = set(range(n_before))
     elif n_before <= _REJECTION_POOL_MIN:
         # Sample positions in the pool with the anchor spliced out, then map
         # back: position idx names node idx, shifted past the anchor.
-        picks = rng.choice(pool, size=k, replace=False)
-        chosen = [int(idx) if idx < anchor else int(idx) + 1 for idx in picks]
+        picks = rng.choice(pool, size=k, replace=False).tolist()
+        nbrs = {idx if idx < anchor else idx + 1 for idx in picks}
+        nbrs.add(anchor)
     else:
-        chosen = []
-        seen = {anchor}
-        while len(chosen) < k:
-            cand = int(rng.integers(0, n_before))
-            if cand in seen:
-                continue
-            seen.add(cand)
-            chosen.append(cand)
-    for c in chosen:
-        g.add_edge(new, c)
+        nbrs = {anchor}
+        while len(nbrs) <= k:
+            nbrs.add(int(rng.integers(0, n_before)))
+    new = n_before
+    adj.append(nbrs)
+    for c in nbrs:
+        adj[c].add(new)
+    g._n_edges += len(nbrs)
     return new
 
 

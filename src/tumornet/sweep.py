@@ -129,9 +129,13 @@ class CellAggregate:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Outcomes in run_id order, their per-cell aggregates, and the worker
+    count the sweep ran with after run_sweep's clamp."""
+
     spec: SweepSpec
     runs: list[RunOutcome]
     cells: list[CellAggregate]
+    workers: int
 
 
 def expand(spec: SweepSpec) -> list[tuple[ModelConfig, int]]:
@@ -208,7 +212,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = N
     With runs_dir set, each run's full time series lands there as
     run<id>.csv. A failing run aborts the sweep, naming the run. No more
     processes start than there are runs; more than os.cpu_count() draws a
-    warning on stderr.
+    warning on stderr. The result records the worker count used.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -236,7 +240,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = N
             raise SweepError(f"run {run_id} (cell {cell_id}, seed {seed}) failed: {message}")
         outcomes.append(item)
     outcomes.sort(key=lambda o: o.run_id)
-    return SweepResult(spec=spec, runs=outcomes, cells=aggregate(spec, outcomes))
+    return SweepResult(spec=spec, runs=outcomes, cells=aggregate(spec, outcomes), workers=workers)
 
 
 def build_cell_aggregate(

@@ -1,17 +1,16 @@
-"""Cell agents, control factors, and stochastic transitions on a growing graph.
+"""Cells, control factors, and stochastic transitions on a growing graph.
 
-Each graph node carries exactly one cell agent. Three control factors in
-[0, 1] steer the dynamics: angiogenesis feeds metastasis and growth,
-recovery clears metastatic cells and wakes quiescent ones, quiescence
-pushes normal cells dormant when angiogenesis is low.
+Each graph node carries exactly one cell, and the model keeps one small-int
+state code per node (NORMAL, QUIESCENT, METASTATIC or DEAD) plus a count of
+cells per code. Three control factors in [0, 1] steer the dynamics:
+angiogenesis feeds metastasis and growth, recovery clears metastatic cells
+and wakes quiescent ones, quiescence pushes normal cells dormant when
+angiogenesis is low. agent_step applies one whole step of transitions.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import graph_core
 from .engine import RngStream, StepRecord
@@ -22,11 +21,9 @@ class ConfigError(ValueError):
     """Invalid model or sweep configuration."""
 
 
-class CellState(enum.Enum):
-    NORMAL = "normal"
-    QUIESCENT = "quiescent"
-    METASTATIC = "metastatic"
-    DEAD = "dead"
+# Cell state codes: the values of Model.state and the indexes of Model.counts,
+# in state_counts() order.
+NORMAL, QUIESCENT, METASTATIC, DEAD = range(4)
 
 
 # Preset levels for each control factor.
@@ -130,57 +127,46 @@ class ModelConfig:
         return min(1.0, self.K / (self.n_initial - 1))
 
 
-@dataclass(slots=True)
-class CellAgent:
-    """One cell bound to one graph node; agent_id equals the node id."""
-
-    agent_id: int
-    node: int
-    state: CellState
-    is_stem: bool
-
-
 class Model:
-    """Mutable simulation state, driven by the engine's step loop."""
+    """Mutable simulation state, driven by the engine's step loop.
 
-    def __init__(self, config: ModelConfig, graph: Graph, agents: list[CellAgent], rng: RngStream):
+    state[i] is the state code of the cell on node i; counts[c] is the
+    number of cells holding code c.
+    """
+
+    def __init__(self, config: ModelConfig, graph: Graph, rng: RngStream):
+        n = graph.n_nodes
         self.config = config
         self.graph = graph
-        self.agents = agents
+        self.state = [NORMAL] * n
+        self.counts = [n, 0, 0, 0]
         self.step_count = 0
         self.records: list[StepRecord] = []
-        self.rng = rng
         self.schedule_rng = rng.substream("schedule")
         self._trans_rng = rng.substream("transitions")
         self._growth_rng = rng.substream("growth")
-        self._counts = {state: 0 for state in CellState}
-        for agent in agents:
-            self._counts[agent.state] += 1
+        # live_ids() as of its last call, with the node and dead counts then.
+        self._live = list(range(n))
+        self._n_listed = n
+        self._n_dead = 0
 
     def live_ids(self) -> list[int]:
-        dead = CellState.DEAD
-        return [a.agent_id for a in self.agents if a.state is not dead]
+        """Ids of live cells, ascending: the previous list minus the cells that
+        died since, plus the ids appended since (dead is absorbing)."""
+        if self.counts[DEAD] != self._n_dead:
+            state = self.state
+            self._live = [i for i in self._live if state[i] != DEAD]
+            self._n_dead = self.counts[DEAD]
+        n = len(self.state)
+        self._live.extend(range(self._n_listed, n))
+        self._n_listed = n
+        return list(self._live)
 
     def state_counts(self) -> tuple[int, int, int, int]:
-        c = self._counts
-        return (
-            c[CellState.NORMAL],
-            c[CellState.QUIESCENT],
-            c[CellState.METASTATIC],
-            c[CellState.DEAD],
-        )
+        return tuple(self.counts)
 
-    def activate(self, agent_id: int) -> None:
-        agent_step(self.agents[agent_id], self, self._trans_rng)
-
-    def set_state(self, agent: CellAgent, new_state: CellState) -> None:
-        self._counts[agent.state] -= 1
-        agent.state = new_state
-        self._counts[new_state] += 1
-
-    def register(self, agent: CellAgent) -> None:
-        self.agents.append(agent)
-        self._counts[agent.state] += 1
+    def activate(self, ids: list[int]) -> None:
+        agent_step(self, ids)
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -205,19 +191,15 @@ def init_model(config: ModelConfig) -> Model:
         # The gap sampler gets its own stream; it is distribution-equivalent
         # to the pairwise one, not draw-for-draw identical.
         graph = graph_core.generate_er_skip(config.n_initial, p, rng.substream("graph-skip"))
-    agents = [
-        CellAgent(agent_id=i, node=i, state=CellState.NORMAL, is_stem=True)
-        for i in range(config.n_initial)
-    ]
-    return Model(config, graph, agents, rng)
+    return Model(config, graph, rng)
 
 
-def agent_step(agent: CellAgent, model: Model, rng: np.random.Generator) -> None:
-    """Apply one transition rule to a live agent.
+def agent_step(model: Model, ids: list[int]) -> None:
+    """Apply one step's transitions to the live cells ids, in that order.
 
-    Every activation consumes exactly one uniform, whatever the outcome, so
-    the transition stream layout depends only on the activation sequence.
-    The rules, in state order:
+    Every activation consumes exactly one uniform, whatever the outcome, and
+    all of them are drawn in one call up front, so the transition stream
+    layout depends only on the activation sequence. The rules, by state:
 
       metastatic: cleared with probability recovery; otherwise spawns a new
           cell with probability angiogenesis * spawn_rate.
@@ -226,38 +208,58 @@ def agent_step(agent: CellAgent, model: Model, rng: np.random.Generator) -> None
           otherwise metastasizes with probability
           min(1, angiogenesis * metastasis_rate * degree / K);
           otherwise dies with probability apoptosis_rate.
+
+    A cell's degree is read when it acts: cells spawned earlier in the step
+    may have linked to it. Raises ValueError at the first dead cell in ids.
     """
-    state = agent.state
-    if state is CellState.DEAD:
-        raise ValueError(f"agent {agent.agent_id} is dead and cannot act")
-    f = model.config.factors
-    u = rng.random()
-    if state is CellState.METASTATIC:
-        if u < f.recovery:
-            model.set_state(agent, CellState.DEAD)
-        elif u < f.recovery + (1.0 - f.recovery) * f.angiogenesis * model.config.spawn_rate:
-            spawn_cell(agent, model, model._growth_rng)
-    elif state is CellState.QUIESCENT:
-        if u < f.recovery:
-            model.set_state(agent, CellState.NORMAL)
-    else:
-        q_eff = f.quiescence * (1.0 - f.angiogenesis)
-        deg = model.graph.degree(agent.node)
-        m_eff = min(1.0, f.angiogenesis * model.config.metastasis_rate * deg / model.config.K)
-        t1 = q_eff
-        t2 = t1 + (1.0 - q_eff) * m_eff
-        t3 = t2 + (1.0 - q_eff) * (1.0 - m_eff) * model.config.apoptosis_rate
-        if u < t1:
-            model.set_state(agent, CellState.QUIESCENT)
-        elif u < t2:
-            model.set_state(agent, CellState.METASTATIC)
-        elif u < t3:
-            model.set_state(agent, CellState.DEAD)
+    cfg = model.config
+    f = cfg.factors
+    state = model.state
+    counts = model.counts
+    adj = model.graph._adj
+    recovery = f.recovery
+    spawn_below = recovery + (1.0 - recovery) * f.angiogenesis * cfg.spawn_rate
+    q_eff = f.quiescence * (1.0 - f.angiogenesis)
+    # Normal-cell thresholds (metastasize below, die below) by degree.
+    normal_below: dict[int, tuple[float, float]] = {}
+    for i, u in zip(ids, model._trans_rng.random(len(ids)).tolist()):
+        s = state[i]
+        if s == NORMAL:
+            deg = len(adj[i])
+            below = normal_below.get(deg)
+            if below is None:
+                m_eff = min(1.0, f.angiogenesis * cfg.metastasis_rate * deg / cfg.K)
+                t2 = q_eff + (1.0 - q_eff) * m_eff
+                t3 = t2 + (1.0 - q_eff) * (1.0 - m_eff) * cfg.apoptosis_rate
+                below = normal_below[deg] = (t2, t3)
+            if u < q_eff:
+                new = QUIESCENT
+            elif u < below[0]:
+                new = METASTATIC
+            elif u < below[1]:
+                new = DEAD
+            else:
+                continue
+        elif s == METASTATIC:
+            if u >= recovery:
+                if u < spawn_below:
+                    spawn_cell(model, i)
+                continue
+            new = DEAD
+        elif s == QUIESCENT:
+            if u >= recovery:
+                continue
+            new = NORMAL
+        else:
+            raise ValueError(f"cell {i} is dead and cannot act")
+        state[i] = new
+        counts[s] -= 1
+        counts[new] += 1
 
 
-def spawn_cell(parent: CellAgent, model: Model, rng: np.random.Generator) -> CellAgent:
-    """Grow by one cell: a new node linked to the parent and K-1 others."""
-    node = graph_core.add_node_linked(model.graph, parent.node, model.config.K - 1, rng)
-    child = CellAgent(agent_id=node, node=node, state=CellState.NORMAL, is_stem=False)
-    model.register(child)
-    return child
+def spawn_cell(model: Model, parent: int) -> int:
+    """Grow by one normal cell, on a new node linked to parent and K-1 others; returns its id."""
+    node = graph_core.add_node_linked(model.graph, parent, model.config.K - 1, model._growth_rng)
+    model.state.append(NORMAL)
+    model.counts[NORMAL] += 1
+    return node

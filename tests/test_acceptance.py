@@ -25,7 +25,7 @@ from tumornet.graph_core import (
 )
 from tumornet.metrics import TciClass, tci_classify, volume_ratio
 from tumornet.sweep import SweepSpec, fig4_spec, run_sweep
-from tumornet.tumor_model import ControlFactors, ModelConfig, init_model
+from tumornet.tumor_model import DEAD, ControlFactors, ModelConfig, init_model
 
 
 def criterion(num, label):
@@ -233,12 +233,10 @@ def test_criterion_09_invariant_fuzz():
                 + record.count_metastatic
                 + record.count_dead
             )
-            assert total == record.n_nodes == len(model.agents)
+            assert total == record.n_nodes == len(model.state)
             for agent_id in dead_ids:
-                assert model.agents[agent_id].state.value == "dead"
-            dead_ids = {
-                a.agent_id for a in model.agents if a.state.value == "dead"
-            }
+                assert model.state[agent_id] == DEAD
+            dead_ids = {i for i, s in enumerate(model.state) if s == DEAD}
             assert record.n_nodes >= prev_nodes
             prev_nodes = record.n_nodes
             if frozen:

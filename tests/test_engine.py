@@ -19,7 +19,10 @@ from tumornet.graph_core import Graph, add_node_linked
 
 
 class StubModel:
-    """Minimal model: agents are (id, alive) pairs, activation logs order."""
+    """Minimal model: agents are (id, alive) pairs, activation logs order.
+
+    on_activate(model, id), if set, runs for each agent as it acts.
+    """
 
     def __init__(self, graph, n_agents, seed=0):
         self.graph = graph
@@ -28,15 +31,18 @@ class StubModel:
         self.schedule_rng = RngStream(seed).substream("schedule")
         self.alive = {i: True for i in range(n_agents)}
         self.activation_log = []
+        self.activate_calls = 0
         self.on_activate = None
 
     def live_ids(self):
         return sorted(i for i, ok in self.alive.items() if ok)
 
-    def activate(self, agent_id):
-        self.activation_log.append((self.step_count, agent_id))
-        if self.on_activate is not None:
-            self.on_activate(self, agent_id)
+    def activate(self, ids):
+        self.activate_calls += 1
+        for agent_id in ids:
+            self.activation_log.append((self.step_count, agent_id))
+            if self.on_activate is not None:
+                self.on_activate(self, agent_id)
 
     def state_counts(self):
         live = sum(self.alive.values())
@@ -106,6 +112,15 @@ class TestStep:
         m = StubModel(_connected_graph(5), n_agents=5)
         step(m)
         assert sorted(a for _, a in m.activation_log) == [0, 1, 2, 3, 4]
+        assert m.activate_calls == 1
+
+    def test_activation_order_is_the_schedule_permutation(self):
+        m = StubModel(_connected_graph(6), n_agents=6, seed=17)
+        m.alive[1] = False
+        step(m)
+        live = [0, 2, 3, 4, 5]
+        order = RngStream(17).substream("schedule").permutation(len(live))
+        assert [a for _, a in m.activation_log] == [live[k] for k in order]
 
     def test_dead_agents_skipped(self):
         m = StubModel(_connected_graph(5), n_agents=5)
@@ -159,6 +174,7 @@ class TestStep:
         r = step(m)
         assert r.count_live == 0
         assert m.activation_log == []
+        assert m.activate_calls == 0
 
 
 class TestRun:

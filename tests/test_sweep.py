@@ -5,6 +5,7 @@ import math
 import pytest
 
 from tumornet import sweep
+from tumornet.cli_io import main
 from tumornet.metrics import TciClass
 from tumornet.sweep import (
     PRESETS,
@@ -158,7 +159,7 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(_tiny_spec(), workers=0)
 
-    def test_workers_clamped_to_run_count(self, monkeypatch, capsys):
+    def test_workers_clamped_to_run_count(self, monkeypatch, capsys, tmp_path):
         requested = []
 
         class InlinePool:
@@ -179,11 +180,19 @@ class TestRunSweep:
         spec = _tiny_spec(csc_counts=(40,), angiogenesis_values=(0.2,), max_steps=2)
         clamped = run_sweep(spec, workers=5000)
         assert requested == [3]
+        assert clamped.workers == 3
         assert "3 sweep workers on 2 CPUs" in capsys.readouterr().err
-        run_sweep(spec, workers=2)
+        assert run_sweep(spec, workers=2).workers == 2
         assert requested == [3, 2]
         assert capsys.readouterr().err == ""
         assert clamped.runs == run_sweep(spec).runs
+        # The CLI reports the count the sweep used, not the one requested.
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("csc_counts=40\nseeds_per_cell=2\nmax_steps=2\n")
+        monkeypatch.setenv("TUMORNET_WORKERS", "5000")
+        assert main(["sweep", "--spec", str(grid), "--out", str(tmp_path / "out")]) == 0
+        assert requested == [3, 2, 2]
+        assert "with 2 worker(s)" in capsys.readouterr().out
 
     def test_worker_failure_names_the_run(self, tmp_path):
         # An unwritable runs_dir makes the first worker raise.

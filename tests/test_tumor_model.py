@@ -1,20 +1,26 @@
 """Cell transition rules, model construction, and population invariants."""
 
+import copy
 import statistics
+from collections import Counter
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+from reference_model import ReferenceModel
 from tumornet.engine import run, step
+from tumornet.graph_core import connectivity_threshold
 from tumornet.tumor_model import (
+    DEAD,
     FACTOR_LEVELS,
     MEDIUM_FACTORS,
-    CellAgent,
-    CellState,
+    METASTATIC,
+    NORMAL,
+    QUIESCENT,
     ConfigError,
     ControlFactors,
-    Model,
     ModelConfig,
     agent_step,
     factor_level,
@@ -31,6 +37,18 @@ def _config(**kwargs):
 
 def _model(**kwargs):
     return init_model(_config(**kwargs))
+
+
+def _set_state(m, cell, code):
+    """Put one cell in a state directly, keeping the counts in step."""
+    m.counts[m.state[cell]] -= 1
+    m.state[cell] = code
+    m.counts[code] += 1
+
+
+def _tally(m):
+    c = Counter(m.state)
+    return tuple(c[code] for code in (NORMAL, QUIESCENT, METASTATIC, DEAD))
 
 
 class TestFactorLevels:
@@ -117,11 +135,9 @@ class TestInitModel:
     def test_all_normal_stem_population(self):
         m = init_model(ModelConfig(n_initial=550, allow_below_threshold=True))
         assert m.graph.n_nodes == 550
-        assert len(m.agents) == 550
-        assert all(a.state is CellState.NORMAL for a in m.agents)
-        assert all(a.is_stem for a in m.agents)
-        assert all(a.agent_id == a.node == i for i, a in enumerate(m.agents))
+        assert m.state == [NORMAL] * 550
         assert m.state_counts() == (550, 0, 0, 0)
+        assert m.live_ids() == list(range(550))
 
     def test_below_threshold_rejected(self):
         with pytest.raises(ConfigError, match="threshold"):
@@ -152,92 +168,105 @@ class TestInitModel:
 class TestModelBookkeeping:
     def test_live_ids_ascending_and_excludes_dead(self):
         m = _model()
-        m.set_state(m.agents[3], CellState.DEAD)
-        m.set_state(m.agents[7], CellState.QUIESCENT)
+        _set_state(m, 3, DEAD)
+        _set_state(m, 7, QUIESCENT)
         live = m.live_ids()
         assert live == sorted(live)
         assert 3 not in live
         assert 7 in live
 
-    def test_state_counts_track_set_state(self):
-        m = _model()
-        m.set_state(m.agents[0], CellState.METASTATIC)
-        m.set_state(m.agents[1], CellState.DEAD)
-        assert m.state_counts() == (28, 0, 1, 1)
+    def test_live_ids_incremental_matches_rescan(self):
+        # Deaths and spawns between calls, over several steps: the updated
+        # list must equal a fresh scan of every cell.
+        m = _model(n_initial=40, p=0.2, seed=8, apoptosis_rate=0.3, spawn_rate=1.0,
+                   factors=ControlFactors(0.9, 0.2, 0.3))
+        for _ in range(15):
+            assert m.live_ids() == [i for i, s in enumerate(m.state) if s != DEAD]
+            step(m)
+        assert m.counts[DEAD] > 0 and len(m.state) > 40
+        live = m.live_ids()
+        live.clear()  # the caller owns the returned list
+        assert m.live_ids() == [i for i, s in enumerate(m.state) if s != DEAD]
+
+    def test_state_counts_track_transitions(self):
+        m = _model(factors=ControlFactors(0.0, 1.0, 1.0))
+        _set_state(m, 5, METASTATIC)
+        _set_state(m, 6, QUIESCENT)
+        agent_step(m, [0, 1, 5, 6])
+        # Certain quiescence for normals, certain recovery otherwise.
+        assert m.state[:2] == [QUIESCENT, QUIESCENT]
+        assert m.state[5:7] == [DEAD, NORMAL]
+        assert m.state_counts() == _tally(m) == (27, 2, 0, 1)
 
     def test_register_spawned_agent(self):
         m = _model()
-        child = CellAgent(agent_id=30, node=30, state=CellState.NORMAL, is_stem=False)
-        m.register(child)
-        assert m.agents[-1] is child
+        child = spawn_cell(m, 0)
+        assert child == 30
+        assert m.state[child] == NORMAL
         assert m.state_counts()[0] == 31
+        assert m.live_ids()[-1] == child
 
 
 class TestAgentStep:
     def test_dead_agent_rejected(self):
         m = _model()
-        m.set_state(m.agents[0], CellState.DEAD)
+        _set_state(m, 0, DEAD)
+        with pytest.raises(ValueError, match="cell 0 is dead"):
+            agent_step(m, [0])
         with pytest.raises(ValueError):
-            agent_step(m.agents[0], m, np.random.default_rng(0))
+            agent_step(m, [1, 0, 2])
 
     def test_consumes_exactly_one_uniform(self):
-        m = _model(factors=ControlFactors(0.0, 0.0, 0.0), apoptosis_rate=0.0)
-        m.set_state(m.agents[1], CellState.QUIESCENT)
-        m.set_state(m.agents[2], CellState.METASTATIC)
-        for agent_id in (0, 1, 2):
-            used = np.random.default_rng(100 + agent_id)
-            ref = np.random.default_rng(100 + agent_id)
-            agent_step(m.agents[agent_id], m, used)
-            ref.random()
-            assert used.random() == ref.random()
+        # One uniform per activation, whatever the state or outcome, and
+        # spawning draws from its own stream.
+        for factors in (ControlFactors(0.0, 0.0, 0.0), ControlFactors(1.0, 0.0, 0.5)):
+            m = _model(factors=factors, apoptosis_rate=0.0, spawn_rate=1.0)
+            _set_state(m, 1, QUIESCENT)
+            _set_state(m, 2, METASTATIC)
+            ref = copy.deepcopy(m._trans_rng)
+            for ids in ([0], [1], [2], [0, 1, 2], list(range(30))):
+                agent_step(m, ids)
+                ref.random(len(ids))
+                assert m._trans_rng.random() == ref.random()
+            assert (len(m.state) > 30) == (factors.angiogenesis > 0)
 
     def test_full_recovery_clears_metastatic(self):
         m = _model(factors=ControlFactors(0.4, 1.0, 0.5))
-        rng = np.random.default_rng(1)
-        for agent in m.agents[:10]:
-            m.set_state(agent, CellState.METASTATIC)
-            agent_step(agent, m, rng)
-            assert agent.state is CellState.DEAD
+        for i in range(10):
+            _set_state(m, i, METASTATIC)
+        agent_step(m, list(range(10)))
+        assert m.state[:10] == [DEAD] * 10
 
     def test_full_recovery_wakes_quiescent(self):
         m = _model(factors=ControlFactors(0.4, 1.0, 0.5))
-        rng = np.random.default_rng(2)
-        for agent in m.agents[:10]:
-            m.set_state(agent, CellState.QUIESCENT)
-            agent_step(agent, m, rng)
-            assert agent.state is CellState.NORMAL
+        for i in range(10):
+            _set_state(m, i, QUIESCENT)
+        agent_step(m, list(range(10)))
+        assert m.state[:10] == [NORMAL] * 10
 
     def test_zero_recovery_keeps_quiescent(self):
         m = _model(factors=ControlFactors(0.0, 0.0, 0.5))
-        rng = np.random.default_rng(3)
-        for agent in m.agents[:10]:
-            m.set_state(agent, CellState.QUIESCENT)
-            agent_step(agent, m, rng)
-            assert agent.state is CellState.QUIESCENT
+        for i in range(10):
+            _set_state(m, i, QUIESCENT)
+        agent_step(m, list(range(10)))
+        assert m.state[:10] == [QUIESCENT] * 10
 
     def test_certain_quiescence(self):
         # quiescence 1 and angiogenesis 0 make the first threshold 1.
         m = _model(factors=ControlFactors(0.0, 0.3, 1.0))
-        rng = np.random.default_rng(4)
-        for agent in m.agents[:10]:
-            agent_step(agent, m, rng)
-            assert agent.state is CellState.QUIESCENT
+        agent_step(m, list(range(10)))
+        assert m.state[:10] == [QUIESCENT] * 10
 
     def test_no_metastasis_without_angiogenesis(self):
         m = _model(factors=ControlFactors(0.0, 0.3, 0.5), apoptosis_rate=0.0)
-        rng = np.random.default_rng(5)
         for _ in range(200):
-            for agent in m.agents:
-                if agent.state is not CellState.DEAD:
-                    agent_step(agent, m, rng)
+            agent_step(m, m.live_ids())
         assert m.state_counts()[2] == 0
 
     def test_all_zero_rates_freeze_normals(self):
         m = _model(factors=ControlFactors(0.0, 0.0, 0.0), apoptosis_rate=0.0)
-        rng = np.random.default_rng(6)
         for _ in range(50):
-            for agent in m.agents:
-                agent_step(agent, m, rng)
+            agent_step(m, list(range(30)))
         assert m.state_counts() == (30, 0, 0, 0)
 
     def test_saturated_metastasis(self):
@@ -245,54 +274,98 @@ class TestAgentStep:
         # complete graph with deg >= K, so every normal cell converts.
         m = _model(n_initial=10, p=1.0, K=4,
                    factors=ControlFactors(1.0, 0.0, 0.0), metastasis_rate=0.5)
-        rng = np.random.default_rng(7)
-        for agent in m.agents:
-            agent_step(agent, m, rng)
+        agent_step(m, list(range(10)))
         assert m.state_counts()[2] == 10
 
     def test_isolated_node_cannot_metastasize(self):
         m = _model(n_initial=5, p=0.9, K=4, allow_below_threshold=True,
                    factors=ControlFactors(1.0, 0.0, 0.0), apoptosis_rate=0.0)
         lone = m.graph.add_node()
-        agent = CellAgent(agent_id=lone, node=lone, state=CellState.NORMAL, is_stem=False)
-        m.register(agent)
-        rng = np.random.default_rng(8)
+        m.state.append(NORMAL)
+        m.counts[NORMAL] += 1
         for _ in range(100):
-            agent_step(agent, m, rng)
-        assert agent.state is CellState.NORMAL
+            agent_step(m, [lone])
+        assert m.state[lone] == NORMAL
+
+    def test_degree_read_when_the_cell_acts(self):
+        # Cells 0 and 1 start isolated, and at degree 0 cell 1 cannot
+        # metastasize. Cell 0 acts first and certainly spawns a node linked
+        # to both, so cell 1 acts at degree 1, where it metastasizes with
+        # probability 1/2.
+        outcomes = set()
+        for seed in range(20):
+            m = _model(n_initial=2, p=0.0, K=2, allow_below_threshold=True, seed=seed,
+                       spawn_rate=1.0, metastasis_rate=1.0, apoptosis_rate=0.0,
+                       factors=ControlFactors(1.0, 0.0, 0.0))
+            _set_state(m, 0, METASTATIC)
+            agent_step(m, [0, 1])
+            assert m.graph.degree(1) == 1
+            outcomes.add(m.state[1])
+        assert outcomes == {NORMAL, METASTATIC}
 
 
 class TestSpawning:
     def test_forced_spawn_mechanics(self):
         m = _model(n_initial=20, p=0.3, K=4, spawn_rate=1.0,
                    factors=ControlFactors(1.0, 0.0, 0.5))
-        parent = m.agents[0]
-        m.set_state(parent, CellState.METASTATIC)
+        _set_state(m, 0, METASTATIC)
         n_before = m.graph.n_nodes
-        agent_step(parent, m, np.random.default_rng(9))
-        assert m.graph.n_nodes == n_before + 1
-        child = m.agents[-1]
-        assert child.agent_id == child.node == n_before
-        assert child.state is CellState.NORMAL
-        assert not child.is_stem
-        assert m.graph.has_edge(parent.node, child.node)
-        assert m.graph.degree(child.node) == 4  # anchor + K-1 extras
+        agent_step(m, [0])
+        assert m.graph.n_nodes == len(m.state) == n_before + 1
+        child = n_before
+        assert m.state[child] == NORMAL
+        assert m.state_counts() == _tally(m)
+        assert m.graph.has_edge(0, child)
+        assert m.graph.degree(child) == 4  # anchor + K-1 extras
 
     def test_spawn_cell_degree_clamped(self):
         m = _model(n_initial=2, p=1.0, K=6)
-        child = spawn_cell(m.agents[0], m, np.random.default_rng(10))
+        child = spawn_cell(m, 0)
         # Only 1 other prior node exists beyond the anchor.
-        assert m.graph.degree(child.node) == 2
+        assert m.graph.degree(child) == 2
 
     def test_zero_spawn_when_angiogenesis_zero(self):
         m = _model(factors=ControlFactors(0.0, 0.0, 0.5), spawn_rate=1.0)
-        for agent in m.agents:
-            m.set_state(agent, CellState.METASTATIC)
-        rng = np.random.default_rng(11)
+        for i in range(30):
+            _set_state(m, i, METASTATIC)
         for _ in range(100):
-            for agent in m.agents:
-                agent_step(agent, m, rng)
+            agent_step(m, list(range(30)))
         assert m.graph.n_nodes == 30
+
+
+class TestMatchesReference:
+    """The flat model against the per-object reference in reference_model."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(20, 300),
+        K=st.integers(3, 8),
+        density=st.floats(0.5, 3.0),
+        factors=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        rates=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 50),
+    )
+    def test_same_records_every_step(self, n, K, density, factors, rates, seed, steps):
+        config = ModelConfig(
+            n_initial=n,
+            K=K,
+            p=min(1.0, density * connectivity_threshold(n)),
+            factors=ControlFactors(*factors),
+            spawn_rate=rates[0],
+            metastasis_rate=rates[1],
+            apoptosis_rate=rates[2],
+            seed=seed,
+            allow_below_threshold=True,
+        )
+        flat, ref = init_model(config), ReferenceModel(config)
+        for _ in range(steps):
+            assert step(flat) == step(ref)
+            # Growth can be exponential; the comparison has made its point.
+            if flat.graph.n_nodes > 3000 or not flat.live_ids():
+                break
+        assert flat.graph == ref.graph
+        assert flat.state == [a.state.value for a in ref.agents]
 
 
 class TestRunProperties:
@@ -302,7 +375,7 @@ class TestRunProperties:
             record = step(m)
             total = (record.count_normal + record.count_quiescent
                      + record.count_metastatic + record.count_dead)
-            assert total == record.n_nodes == len(m.agents)
+            assert total == record.n_nodes == len(m.state)
 
     def test_dead_is_absorbing(self):
         m = _model(n_initial=60, p=0.12, seed=4, apoptosis_rate=0.2)
@@ -310,8 +383,8 @@ class TestRunProperties:
         for _ in range(40):
             step(m)
             for agent_id in dead_seen:
-                assert m.agents[agent_id].state is CellState.DEAD
-            dead_seen.update(a.agent_id for a in m.agents if a.state is CellState.DEAD)
+                assert m.state[agent_id] == DEAD
+            dead_seen.update(i for i, s in enumerate(m.state) if s == DEAD)
         assert dead_seen  # the config must actually kill something
 
     def test_node_count_non_decreasing(self):
