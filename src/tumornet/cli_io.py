@@ -16,7 +16,9 @@ import sys
 import time
 import traceback
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from . import engine, sweep as sweep_mod, tumor_model
 from .engine import TimeSeries
@@ -43,6 +45,12 @@ SWEEP_RUNS_HEADER = (
     "steps,termination,n_nodes,n_edges,normal,quiescent,metastatic,dead,"
     "volume_ratio,tci"
 )
+
+# Each runs.csv column is the RunOutcome field of the same name, written with
+# str() and read back with the field's type.
+_RUN_COLUMNS = tuple(SWEEP_RUNS_HEADER.split(","))
+_run_row = attrgetter(*_RUN_COLUMNS)
+_RUN_COLUMN_TYPES = tuple(get_type_hints(RunOutcome)[c] for c in _RUN_COLUMNS)
 
 _INT_KEYS = ("n_initial", "K", "max_steps", "seed")
 _FLOAT_KEYS = ("p", "spawn_rate", "metastasis_rate", "apoptosis_rate")
@@ -271,91 +279,34 @@ def format_sweep_summary(cells: list[CellAggregate]) -> str:
 
 
 def format_sweep_runs(outcomes: list[RunOutcome]) -> str:
-    # volume_ratio keeps full precision here so re-aggregation from this
-    # table reproduces the summary exactly.
+    # str() of a float is its shortest round-tripping form, so volume_ratio
+    # keeps full precision and read_sweep_runs gets the same records back.
     lines = [SWEEP_RUNS_HEADER]
-    for o in outcomes:
-        cfg = o.config
-        f = o.final
-        lines.append(
-            f"{o.run_id},{o.cell_id},{cfg.n_initial},{cfg.K},"
-            f"{cfg.factors.angiogenesis!r},{cfg.factors.recovery!r},"
-            f"{cfg.factors.quiescence!r},{cfg.seed},{o.steps},{o.termination},"
-            f"{f.n_nodes},{f.n_edges},{f.count_normal},{f.count_quiescent},"
-            f"{f.count_metastatic},{f.count_dead},{f.volume_ratio!r},"
-            f"{o.tci.value if o.tci else ''}"
-        )
+    lines.extend(",".join(map(str, _run_row(o))) for o in outcomes)
     return "\n".join(lines) + "\n"
 
 
-def read_sweep_runs(path: str | Path) -> list[dict]:
-    """Parse a runs table written by format_sweep_runs."""
+def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
+    """Parse a runs table written by format_sweep_runs back into its records."""
     try:
         text = Path(path).read_text()
     except FileNotFoundError:
         raise InputError(f"runs table not found: {path}") from None
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != SWEEP_RUNS_HEADER.split(","):
+    reader = csv.reader(io.StringIO(text))
+    if tuple(next(reader, ())) != _RUN_COLUMNS:
         raise InputError(f"unexpected runs-table header in {path}")
-    rows = []
+    runs = []
     for row in reader:
+        if not row:
+            continue
         try:
-            rows.append(
-                {
-                    "run_id": int(row["run_id"]),
-                    "cell_id": int(row["cell_id"]),
-                    "n_initial": int(row["n_initial"]),
-                    "K": int(row["K"]),
-                    "angiogenesis": float(row["angiogenesis"]),
-                    "recovery": float(row["recovery"]),
-                    "quiescence": float(row["quiescence"]),
-                    "n_nodes": int(row["n_nodes"]),
-                    "metastatic": int(row["metastatic"]),
-                    "volume_ratio": float(row["volume_ratio"]),
-                    "tci": row["tci"],
-                }
-            )
-        except (KeyError, TypeError, ValueError):
+            values = [t(v) for t, v in zip(_RUN_COLUMN_TYPES, row, strict=True)]
+        except ValueError:
             raise InputError(f"malformed row in {path}: {row!r}") from None
-    if not rows:
+        runs.append(RunOutcome(**dict(zip(_RUN_COLUMNS, values))))
+    if not runs:
         raise InputError(f"no data rows in {path}")
-    return rows
-
-
-def aggregate_rows(rows: list[dict]) -> list[CellAggregate]:
-    """Recompute per-cell statistics from a runs table.
-
-    Cells must be contiguous from 0 and carry the same number of runs each;
-    anything else means the table is truncated or mixed.
-    """
-    by_cell: dict[int, list[dict]] = {}
-    for row in rows:
-        by_cell.setdefault(row["cell_id"], []).append(row)
-    cell_ids = sorted(by_cell)
-    if cell_ids != list(range(len(cell_ids))):
-        raise InputError("cell ids are not contiguous from 0; table is incomplete")
-    sizes = {len(v) for v in by_cell.values()}
-    if len(sizes) != 1:
-        raise InputError(f"cells have unequal run counts {sorted(sizes)}; table is incomplete")
-    cells = []
-    for cell_id in cell_ids:
-        cell_rows = sorted(by_cell[cell_id], key=lambda r: r["run_id"])
-        first = cell_rows[0]
-        cells.append(
-            sweep_mod.build_cell_aggregate(
-                cell_id=cell_id,
-                n_initial=first["n_initial"],
-                K=first["K"],
-                angiogenesis=first["angiogenesis"],
-                recovery=first["recovery"],
-                quiescence=first["quiescence"],
-                ratios=[r["volume_ratio"] for r in cell_rows],
-                fractions=[r["metastatic"] / r["n_nodes"] for r in cell_rows],
-                counts=[float(r["metastatic"]) for r in cell_rows],
-                tci_names=[r["tci"] for r in cell_rows],
-            )
-        )
-    return cells
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +493,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     runs_path = Path(args.runs) / "runs.csv"
-    cells = aggregate_rows(read_sweep_runs(runs_path))
+    cells = sweep_mod.aggregate(read_sweep_runs(runs_path))
     out_path = Path(args.out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -616,13 +567,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # ConfigError and InputError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SweepError, OSError) as exc:

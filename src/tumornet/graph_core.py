@@ -116,25 +116,6 @@ class DegreeSequence:
         return sum(self.degrees) // 2
 
 
-@dataclass(frozen=True)
-class EdgeProbability:
-    """An edge probability paired with the threshold for its graph size."""
-
-    p: float
-    p_star: float
-
-    def __post_init__(self):
-        _check_prob(self.p)
-
-    @classmethod
-    def for_size(cls, p: float, n: int) -> "EdgeProbability":
-        return cls(p, connectivity_threshold(n))
-
-    @property
-    def above_threshold(self) -> bool:
-        return self.p > self.p_star
-
-
 def _check_size(n: int) -> None:
     if n < 1:
         raise ValueError(f"graph size must be at least 1, got {n}")
@@ -306,46 +287,3 @@ def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Gener
         adj[c].add(new)
     g._n_edges += len(nbrs)
     return new
-
-
-def to_edge_list(g: Graph) -> str:
-    """Serialize to the canonical edge-list text form.
-
-    One header line "nodes=<n>", then one "i j" line per edge with i < j,
-    sorted lexicographically. Stable bytes for identical graphs.
-    """
-    lines = [f"nodes={g.n_nodes}"]
-    lines.extend(f"{i} {j}" for i, j in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_list(text: str) -> Graph:
-    """Parse the edge-list text form produced by to_edge_list."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("nodes="):
-        raise ValueError("line 1: expected header 'nodes=<count>'")
-    try:
-        n = int(lines[0][len("nodes="):])
-    except ValueError:
-        raise ValueError("line 1: node count must be an integer") from None
-    if n < 0:
-        raise ValueError("line 1: node count must be non-negative")
-    g = Graph(n)
-    for lineno, raw in enumerate(lines[1:], start=2):
-        s = raw.strip()
-        if not s:
-            continue
-        parts = s.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'i j', got {raw!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: endpoints must be integers") from None
-        if i >= j:
-            raise ValueError(f"line {lineno}: endpoints must satisfy i < j")
-        try:
-            g.add_edge(i, j)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return g

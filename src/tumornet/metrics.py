@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 
 from . import graph_core
 from .engine import TimeSeries
@@ -24,49 +23,6 @@ def volume_ratio(g: Graph) -> float:
     if g.n_nodes == 0:
         raise ValueError("volume ratio is undefined for an empty graph")
     return g.n_edges / g.n_nodes
-
-
-@dataclass(frozen=True)
-class GatedVolume:
-    """A volume ratio plus where the low-degree audit first fired, if anywhere."""
-
-    ratio: float
-    gate_node: int | None
-
-
-def gated_volume_ratio(g: Graph, k_avg: int, factor: float) -> GatedVolume | None:
-    """Volume ratio guarded by connectivity, with a normalized-degree audit.
-
-    Returns None when the graph is disconnected. Otherwise scans nodes in
-    ascending id order and records the first one whose degree/k_avg falls
-    below factor. The returned ratio is m/n either way; the gate only
-    annotates where the low-degree condition first held.
-    """
-    if g.n_nodes == 0:
-        raise ValueError("volume ratio is undefined for an empty graph")
-    if k_avg < 1:
-        raise ValueError(f"k_avg must be at least 1, got {k_avg}")
-    if not 0.0 <= factor <= 1.0:
-        raise ValueError(f"factor must lie in [0, 1], got {factor}")
-    if not graph_core.is_connected(g):
-        return None
-    gate_node = None
-    for i in range(g.n_nodes):
-        if g.degree(i) / k_avg < factor:
-            gate_node = i
-            break
-    return GatedVolume(ratio=volume_ratio(g), gate_node=gate_node)
-
-
-def spheroid_volume(width: float, length: float) -> float:
-    """Classic caliper approximation width^2 * length / 2.
-
-    Kept for comparison with clinical measurements of roughly spherical
-    masses; it has no graph equivalent and takes no part in run outputs.
-    """
-    if width < 0 or length < 0:
-        raise ValueError("dimensions must be non-negative")
-    return width * width * length / 2.0
 
 
 def tci_classify(series: TimeSeries, delta: float = 0.1) -> TciClass:

@@ -1,9 +1,12 @@
 """Cartesian parameter sweeps with seeded, order-independent parallel runs.
 
 Every run in a sweep gets its own seed (base_seed + run index), executes as
-an ordinary single-threaded simulation, and reports back a compact outcome.
-Results are sorted into canonical order before aggregation, so the worker
-count can never show up in the output.
+an ordinary single-threaded simulation, and reports back a RunOutcome, the
+run's row of runs.csv. Results are sorted into canonical order before
+aggregation, so the worker count can never show up in the output.
+aggregate is the only path from run records to the per-cell table: the
+sweep applies it to its outcomes and `tumornet analyze` to the records it
+reads back from runs.csv, so both write the same summary.csv.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import engine, metrics, tumor_model
-from .engine import StepRecord, TimeSeries
+from .engine import TimeSeries
 from .metrics import TciClass
 from .tumor_model import ConfigError, ControlFactors, ModelConfig
 
@@ -94,15 +97,31 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """What one finished run contributes to the sweep."""
+    """One finished run: its row of runs.csv, one field per column, in order.
+
+    The configuration columns come from the run's ModelConfig, the counts
+    from its final StepRecord. tci is the TciClass value, or "" when the
+    class is undefined.
+    """
 
     run_id: int
     cell_id: int
-    config: ModelConfig
+    n_initial: int
+    K: int
+    angiogenesis: float
+    recovery: float
+    quiescence: float
+    seed: int
     steps: int
     termination: str
-    final: StepRecord
-    tci: TciClass | None
+    n_nodes: int
+    n_edges: int
+    normal: int
+    quiescent: int
+    metastatic: int
+    dead: int
+    volume_ratio: float
+    tci: str
 
 
 @dataclass(frozen=True)
@@ -191,14 +210,26 @@ def _execute(task: tuple[int, int, ModelConfig, str | None]):
             from . import cli_io  # deferred, cli_io imports this module
 
             cli_io.write_run_csv(series, Path(runs_dir) / f"run{run_id:05d}.csv")
+        tci = classify_series(series)
         return RunOutcome(
             run_id=run_id,
             cell_id=cell_id,
-            config=config,
+            n_initial=config.n_initial,
+            K=config.K,
+            angiogenesis=config.factors.angiogenesis,
+            recovery=config.factors.recovery,
+            quiescence=config.factors.quiescence,
+            seed=config.seed,
             steps=final.step,
             termination=series.termination or "",
-            final=final,
-            tci=classify_series(series),
+            n_nodes=final.n_nodes,
+            n_edges=final.n_edges,
+            normal=final.count_normal,
+            quiescent=final.count_quiescent,
+            metastatic=final.count_metastatic,
+            dead=final.count_dead,
+            volume_ratio=final.volume_ratio,
+            tci=tci.value if tci else "",
         )
     except Exception as exc:
         return ("error", run_id, config.seed, f"{type(exc).__name__}: {exc}")
@@ -240,78 +271,55 @@ def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = N
             raise SweepError(f"run {run_id} (cell {cell_id}, seed {seed}) failed: {message}")
         outcomes.append(item)
     outcomes.sort(key=lambda o: o.run_id)
-    return SweepResult(spec=spec, runs=outcomes, cells=aggregate(spec, outcomes), workers=workers)
+    return SweepResult(spec=spec, runs=outcomes, cells=aggregate(outcomes), workers=workers)
 
 
-def build_cell_aggregate(
-    cell_id: int,
-    n_initial: int,
-    K: int,
-    angiogenesis: float,
-    recovery: float,
-    quiescence: float,
-    ratios: list[float],
-    fractions: list[float],
-    counts: list[float],
-    tci_names: list[str],
-) -> CellAggregate:
-    """Assemble one cell's statistics; shared by the sweep and re-aggregation."""
+def aggregate(runs: list[RunOutcome]) -> list[CellAggregate]:
+    """Per-cell mean/std table in canonical cell order.
+
+    Cells must be numbered contiguously from 0 and carry the same number of
+    runs each. Anything else means runs are missing, and partial statistics
+    would silently change their meaning, so it raises ValueError.
+    """
+    by_cell: dict[int, list[RunOutcome]] = {}
+    for outcome in runs:
+        by_cell.setdefault(outcome.cell_id, []).append(outcome)
+    if sorted(by_cell) != list(range(len(by_cell))):
+        raise ValueError("cell ids are not contiguous from 0; runs are missing")
+    sizes = {len(v) for v in by_cell.values()}
+    if len(sizes) != 1:
+        raise ValueError(f"cells have unequal run counts {sorted(sizes)}; runs are missing")
 
     def _std(values: list[float]) -> float:
         # Sample standard deviation; a single seed has no spread by convention.
         return statistics.stdev(values) if len(values) > 1 else 0.0
 
-    return CellAggregate(
-        cell_id=cell_id,
-        n_initial=n_initial,
-        K=K,
-        angiogenesis=angiogenesis,
-        recovery=recovery,
-        quiescence=quiescence,
-        seeds=len(ratios),
-        mean_volume_ratio=statistics.fmean(ratios),
-        std_volume_ratio=_std(ratios),
-        mean_metastatic_fraction=statistics.fmean(fractions),
-        std_metastatic_fraction=_std(fractions),
-        mean_metastatic_count=statistics.fmean(counts),
-        std_metastatic_count=_std(counts),
-        progression=tci_names.count(TciClass.PROGRESSION.value),
-        rejection=tci_names.count(TciClass.REJECTION.value),
-        stabilization=tci_names.count(TciClass.STABILIZATION.value),
-    )
-
-
-def aggregate(spec: SweepSpec, outcomes: list[RunOutcome]) -> list[CellAggregate]:
-    """Per-cell mean/std table in canonical cell order.
-
-    Raises ValueError when any cell is missing runs (or has extras), since
-    partial statistics would silently change their meaning.
-    """
-    spec.validate()
-    by_cell: dict[int, list[RunOutcome]] = {}
-    for outcome in outcomes:
-        by_cell.setdefault(outcome.cell_id, []).append(outcome)
     cells: list[CellAggregate] = []
-    for cell_id in range(spec.n_cells):
-        runs = sorted(by_cell.get(cell_id, []), key=lambda o: o.run_id)
-        if len(runs) != spec.seeds_per_cell:
-            raise ValueError(
-                f"cell {cell_id} incomplete: expected {spec.seeds_per_cell} runs, "
-                f"found {len(runs)}"
-            )
-        config = runs[0].config
+    for cell_id in range(len(by_cell)):
+        cell_runs = sorted(by_cell[cell_id], key=lambda o: o.run_id)
+        first = cell_runs[0]
+        ratios = [o.volume_ratio for o in cell_runs]
+        fractions = [o.metastatic / o.n_nodes for o in cell_runs]
+        counts = [float(o.metastatic) for o in cell_runs]
+        tcis = [o.tci for o in cell_runs]
         cells.append(
-            build_cell_aggregate(
+            CellAggregate(
                 cell_id=cell_id,
-                n_initial=config.n_initial,
-                K=config.K,
-                angiogenesis=config.factors.angiogenesis,
-                recovery=config.factors.recovery,
-                quiescence=config.factors.quiescence,
-                ratios=[o.final.volume_ratio for o in runs],
-                fractions=[o.final.count_metastatic / o.final.n_nodes for o in runs],
-                counts=[float(o.final.count_metastatic) for o in runs],
-                tci_names=[o.tci.value if o.tci else "" for o in runs],
+                n_initial=first.n_initial,
+                K=first.K,
+                angiogenesis=first.angiogenesis,
+                recovery=first.recovery,
+                quiescence=first.quiescence,
+                seeds=len(cell_runs),
+                mean_volume_ratio=statistics.fmean(ratios),
+                std_volume_ratio=_std(ratios),
+                mean_metastatic_fraction=statistics.fmean(fractions),
+                std_metastatic_fraction=_std(fractions),
+                mean_metastatic_count=statistics.fmean(counts),
+                std_metastatic_count=_std(counts),
+                progression=tcis.count(TciClass.PROGRESSION.value),
+                rejection=tcis.count(TciClass.REJECTION.value),
+                stabilization=tcis.count(TciClass.STABILIZATION.value),
             )
         )
     return cells

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import graph_core
 from .engine import RngStream, StepRecord
-from .graph_core import DENSE_SAMPLER_LIMIT, EdgeProbability, Graph
+from .graph_core import DENSE_SAMPLER_LIMIT, Graph
 
 
 class ConfigError(ValueError):
@@ -177,11 +177,11 @@ def init_model(config: ModelConfig) -> Model:
     start.
     """
     p = config.edge_prob
-    ep = EdgeProbability.for_size(p, config.n_initial)
-    if not ep.above_threshold and not config.allow_below_threshold:
+    p_star = graph_core.connectivity_threshold(config.n_initial)
+    if p <= p_star and not config.allow_below_threshold:
         raise ConfigError(
             f"edge probability {p:.6g} is at or below the connectivity threshold "
-            f"{ep.p_star:.6g} for n={config.n_initial}; such a graph is almost surely "
+            f"{p_star:.6g} for n={config.n_initial}; such a graph is almost surely "
             "disconnected at the start (set allow_below_threshold to proceed)"
         )
     rng = RngStream(config.seed)

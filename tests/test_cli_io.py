@@ -2,16 +2,19 @@
 
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tumornet.cli_io import (
     RUN_CSV_HEADER,
     SWEEP_RUNS_HEADER,
     SWEEP_SUMMARY_HEADER,
     InputError,
-    aggregate_rows,
     format_run_csv,
     format_sweep_runs,
     format_sweep_summary,
@@ -25,7 +28,7 @@ from tumornet.cli_io import (
     write_summary,
 )
 from tumornet.engine import StepRecord, TimeSeries, run
-from tumornet.sweep import SweepSpec, build_cell_aggregate, run_sweep
+from tumornet.sweep import RunOutcome, SweepSpec, aggregate, run_sweep
 from tumornet.tumor_model import ModelConfig, init_model
 
 
@@ -214,15 +217,23 @@ class TestRunSummary:
             summarize_run(TimeSeries(), 0, True, 0.0)
 
 
+# One runs.csv data row: run 0 of cell 1 (so cell 0 is missing).
+RUNS_ROW_CELL_1 = "0,1,40,4,0.2,0.3,0.5,0,1,disconnected,40,80,40,0,0,0,2.0,"
+
+
 class TestSweepTables:
     def test_summary_golden_line(self):
-        cell = build_cell_aggregate(
-            cell_id=0, n_initial=40, K=4,
-            angiogenesis=0.2, recovery=0.3, quiescence=0.5,
-            ratios=[1.0, 3.0], fractions=[0.0, 0.0], counts=[0.0, 0.0],
-            tci_names=["", ""],
-        )
-        assert format_sweep_summary([cell]) == (
+        runs = [
+            RunOutcome(
+                run_id=i, cell_id=0, n_initial=40, K=4, angiogenesis=0.2,
+                recovery=0.3, quiescence=0.5, seed=i, steps=1,
+                termination="disconnected", n_nodes=40, n_edges=int(40 * ratio),
+                normal=40, quiescent=0, metastatic=0, dead=0,
+                volume_ratio=ratio, tci="",
+            )
+            for i, ratio in enumerate((1.0, 3.0))
+        ]
+        assert format_sweep_summary(aggregate(runs)) == (
             SWEEP_SUMMARY_HEADER + "\n"
             "0,40,4,0.2,0.3,0.5,2,2.000000,1.414214,0.000000,0.000000,"
             "0.000000,0.000000,0,0,0\n"
@@ -237,8 +248,50 @@ class TestSweepTables:
         summary_text = format_sweep_summary(result.cells)
         runs_path = tmp_path / "runs.csv"
         runs_path.write_text(format_sweep_runs(result.runs))
-        cells = aggregate_rows(read_sweep_runs(runs_path))
+        cells = aggregate(read_sweep_runs(runs_path))
         assert format_sweep_summary(cells) == summary_text
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        csc_counts=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        factors=st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3), min_size=3, max_size=3
+        ),
+        K_values=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+        seeds_per_cell=st.integers(1, 3),
+        base_seed=st.integers(0, 2**31),
+        max_steps=st.integers(0, 20),
+    )
+    def test_runs_table_reads_back_the_sweep(
+        self, csc_counts, factors, K_values, seeds_per_cell, base_seed, max_steps
+    ):
+        # analyze rebuilds the sweep's own records from runs.csv, so the one
+        # aggregation gives it the sweep's summary.csv.
+        spec = SweepSpec(
+            csc_counts=csc_counts, angiogenesis_values=factors[0],
+            recovery_values=factors[1], quiescence_values=factors[2],
+            K_values=K_values, seeds_per_cell=seeds_per_cell,
+            base_seed=base_seed, max_steps=max_steps,
+        )
+        result = run_sweep(spec)
+        with tempfile.TemporaryDirectory() as tmp:
+            runs_path = Path(tmp) / "runs.csv"
+            runs_path.write_text(format_sweep_runs(result.runs))
+            runs = read_sweep_runs(runs_path)
+        assert runs == result.runs
+        assert format_sweep_summary(aggregate(runs)) == format_sweep_summary(result.cells)
+
+    def test_aggregate_rows_rejects_unequal_cells(self, tmp_path):
+        # Two runs in cell 0 and one in cell 1, read back from runs.csv.
+        def row(run_id, cell_id):
+            return (f"{run_id},{cell_id},40,4,0.2,0.3,0.5,{run_id},1,disconnected,"
+                    "40,80,40,0,0,0,2.0,")
+        path = tmp_path / "runs.csv"
+        path.write_text("\n".join([SWEEP_RUNS_HEADER, row(0, 0), row(1, 0), row(2, 1)]) + "\n")
+        runs = read_sweep_runs(path)
+        assert [r.cell_id for r in runs] == [0, 0, 1]
+        with pytest.raises(ValueError, match="unequal"):
+            aggregate(runs)
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "runs.csv"
@@ -255,21 +308,6 @@ class TestSweepTables:
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
             read_sweep_runs(tmp_path / "absent.csv")
-
-    def test_aggregate_rows_rejects_gap_in_cells(self):
-        row = dict(run_id=0, cell_id=1, n_initial=40, K=4, angiogenesis=0.2,
-                   recovery=0.3, quiescence=0.5, n_nodes=40, metastatic=0,
-                   volume_ratio=2.0, tci="")
-        with pytest.raises(InputError, match="contiguous"):
-            aggregate_rows([row])
-
-    def test_aggregate_rows_rejects_unequal_cells(self):
-        def row(run_id, cell_id):
-            return dict(run_id=run_id, cell_id=cell_id, n_initial=40, K=4,
-                        angiogenesis=0.2, recovery=0.3, quiescence=0.5,
-                        n_nodes=40, metastatic=0, volume_ratio=2.0, tci="")
-        with pytest.raises(InputError, match="unequal"):
-            aggregate_rows([row(0, 0), row(1, 0), row(2, 1)])
 
 
 class TestPlotSvg:
@@ -458,6 +496,25 @@ class TestCli:
         code, _, err = _cli(["analyze", "--runs", str(tmp_path), "--out", str(tmp_path / "s.csv")])
         assert code == 2
         assert "not found" in err
+
+    def test_analyze_gap_in_cells(self, tmp_path):
+        (tmp_path / "runs.csv").write_text(SWEEP_RUNS_HEADER + "\n" + RUNS_ROW_CELL_1 + "\n")
+        out = tmp_path / "s.csv"
+        code, _, err = _cli(["analyze", "--runs", str(tmp_path), "--out", str(out)])
+        assert code == 2
+        assert "error: cell ids are not contiguous from 0" in err
+        assert not out.exists()
+
+    def test_analyze_malformed_row(self, tmp_path):
+        non_numeric = RUNS_ROW_CELL_1.replace(",4,", ",four,", 1)
+        short = RUNS_ROW_CELL_1[: RUNS_ROW_CELL_1.rindex(",")]
+        for row in (non_numeric, short):
+            (tmp_path / "runs.csv").write_text(SWEEP_RUNS_HEADER + "\n" + row + "\n")
+            out = tmp_path / "s.csv"
+            code, _, err = _cli(["analyze", "--runs", str(tmp_path), "--out", str(out)])
+            assert code == 2
+            assert "error: malformed row" in err and repr(row.split(",")) in err
+            assert not out.exists()
 
     def test_plot_cli(self, tmp_path):
         config = _write(tmp_path / "run.cfg", CONNECTED_CONFIG)

@@ -1,4 +1,4 @@
-"""Graph structure, generators, and serialization."""
+"""Graph structure, generators, and connectivity."""
 
 import math
 
@@ -11,17 +11,14 @@ from hypothesis import strategies as st
 from tumornet.engine import RngStream
 from tumornet.graph_core import (
     DegreeSequence,
-    EdgeProbability,
     Graph,
     add_node_linked,
     connectivity_threshold,
     degree_sequence,
-    from_edge_list,
     generate_er,
     generate_er_skip,
     is_connected,
     linked_since,
-    to_edge_list,
 )
 
 
@@ -125,7 +122,6 @@ class TestGenerateEr:
         a = generate_er(200, 0.05, _rng(7))
         b = generate_er(200, 0.05, _rng(7))
         assert a == b
-        assert to_edge_list(a) == to_edge_list(b)
 
     def test_single_node(self):
         g = generate_er(1, 0.5, _rng(0))
@@ -313,21 +309,6 @@ class TestDegreeSequence:
         assert DegreeSequence([1, 1]).edge_count == 1
 
 
-class TestEdgeProbability:
-    def test_for_size(self):
-        ep = EdgeProbability.for_size(0.05, 100)
-        assert ep.p == 0.05
-        assert abs(ep.p_star - 0.046052) < 1e-6
-        assert ep.above_threshold
-
-    def test_below(self):
-        assert not EdgeProbability.for_size(0.001, 100).above_threshold
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            EdgeProbability(1.5, 0.1)
-
-
 class TestAddNodeLinked:
     def test_singleton_anchor(self):
         g = Graph(1)
@@ -381,36 +362,3 @@ class TestAddNodeLinked:
         nbrs = g.neighbors(new)
         assert len(nbrs) == 4
         assert 100 in nbrs
-
-
-class TestSerialization:
-    def test_golden_text(self):
-        g = Graph(3)
-        g.add_edge(0, 2)
-        g.add_edge(0, 1)
-        assert to_edge_list(g) == "nodes=3\n0 1\n0 2\n"
-
-    def test_round_trip(self):
-        g = generate_er(60, 0.1, _rng(12))
-        assert from_edge_list(to_edge_list(g)) == g
-
-    def test_round_trip_isolated_nodes(self):
-        g = Graph(4)
-        g.add_edge(1, 3)
-        assert from_edge_list(to_edge_list(g)) == g
-
-    def test_bad_header(self):
-        with pytest.raises(ValueError, match="line 1"):
-            from_edge_list("vertices=3\n")
-
-    def test_bad_pair_line(self):
-        with pytest.raises(ValueError, match="line 2"):
-            from_edge_list("nodes=3\n0 1 2\n")
-
-    def test_unordered_pair_rejected(self):
-        with pytest.raises(ValueError, match="i < j"):
-            from_edge_list("nodes=3\n2 1\n")
-
-    def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError, match="line 3"):
-            from_edge_list("nodes=3\n0 1\n0 1\n")

@@ -1,4 +1,4 @@
-"""Volume ratios, the gated variant, spheroid volume, TCI, histograms."""
+"""Volume ratios, TCI, histograms."""
 
 import math
 
@@ -8,11 +8,8 @@ import pytest
 from tumornet.engine import StepRecord, TimeSeries
 from tumornet.graph_core import Graph, degree_sequence, generate_er
 from tumornet.metrics import (
-    GatedVolume,
     TciClass,
     degree_histogram,
-    gated_volume_ratio,
-    spheroid_volume,
     tci_classify,
     volume_ratio,
 )
@@ -64,65 +61,6 @@ class TestVolumeRatio:
             g = generate_er(n, float(rng.random()), rng)
             degrees = degree_sequence(g).degrees
             assert volume_ratio(g) == pytest.approx(sum(degrees) / (2 * n))
-
-
-class TestGatedVolumeRatio:
-    def test_disconnected_returns_none(self):
-        assert gated_volume_ratio(Graph(2), k_avg=4, factor=0.5) is None
-
-    def test_triangle_factor_one_gates_at_node_zero(self):
-        # deg/k = 2/3 < 1.0 already at node 0.
-        out = gated_volume_ratio(_triangle(), k_avg=3, factor=1.0)
-        assert out == GatedVolume(ratio=1.0, gate_node=0)
-
-    def test_factor_zero_never_gates(self):
-        out = gated_volume_ratio(_triangle(), k_avg=3, factor=0.0)
-        assert out == GatedVolume(ratio=1.0, gate_node=None)
-
-    def test_gate_reports_first_low_degree_node(self):
-        g = Graph(4)
-        g.add_edge(0, 1)
-        g.add_edge(0, 2)
-        g.add_edge(0, 3)
-        g.add_edge(1, 2)
-        # degrees 3,2,2,1; with k=4, factor=0.6 both node 1 (0.5) and node 3
-        # (0.25) qualify, and the lowest id wins.
-        out = gated_volume_ratio(g, k_avg=4, factor=0.6)
-        assert out.gate_node == 1
-        # The strict comparison means deg/k == factor does not fire.
-        assert gated_volume_ratio(g, k_avg=4, factor=0.5).gate_node == 3
-
-    def test_gate_does_not_change_ratio(self):
-        g = _complete(6)
-        gated = gated_volume_ratio(g, k_avg=100, factor=1.0)
-        assert gated.gate_node == 0
-        assert gated.ratio == volume_ratio(g)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gated_volume_ratio(Graph(0), k_avg=4, factor=0.5)
-        with pytest.raises(ValueError):
-            gated_volume_ratio(_triangle(), k_avg=0, factor=0.5)
-        with pytest.raises(ValueError):
-            gated_volume_ratio(_triangle(), k_avg=4, factor=1.5)
-
-
-class TestSpheroidVolume:
-    def test_examples(self):
-        assert spheroid_volume(2, 4) == 8.0
-        assert spheroid_volume(3, 2) == 9.0
-
-    def test_zero(self):
-        assert spheroid_volume(0, 5) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spheroid_volume(-1, 2)
-        with pytest.raises(ValueError):
-            spheroid_volume(1, -2)
-
-    def test_formula(self):
-        assert spheroid_volume(1.5, 2.5) == pytest.approx(1.5 * 1.5 * 2.5 / 2)
 
 
 class TestTciClassify:

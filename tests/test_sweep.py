@@ -14,14 +14,13 @@ from tumornet.sweep import (
     SweepError,
     SweepSpec,
     aggregate,
-    build_cell_aggregate,
     classify_series,
     expand,
     fig4_spec,
     run_sweep,
 )
 from tumornet.engine import StepRecord, TimeSeries
-from tumornet.tumor_model import ConfigError, ModelConfig
+from tumornet.tumor_model import ConfigError
 
 
 def _tiny_spec(**kwargs):
@@ -129,10 +128,11 @@ class TestRunSweep:
     def test_outcome_fields_match_config(self):
         result = run_sweep(_tiny_spec())
         first = result.runs[0]
-        assert first.config.seed == 100
-        assert first.config.n_initial == 40
+        assert first.seed == 100
+        assert first.n_initial == 40
         assert first.termination in ("max_steps", "disconnected", "extinct")
-        assert first.final.step == first.steps
+        assert first.normal + first.quiescent + first.metastatic + first.dead == first.n_nodes
+        assert first.volume_ratio == first.n_edges / first.n_nodes
 
     def test_deterministic_across_calls(self):
         a = run_sweep(_tiny_spec())
@@ -203,74 +203,83 @@ class TestRunSweep:
 
 
 class TestAggregate:
-    def _outcome(self, run_id, cell_id, ratio, m_count=0, n_nodes=10, tci=None):
-        cfg = ModelConfig(n_initial=40, seed=run_id, allow_below_threshold=True)
-        final = StepRecord(1, n_nodes, int(ratio * n_nodes), n_nodes - m_count,
-                           0, m_count, 0, ratio)
-        return RunOutcome(run_id=run_id, cell_id=cell_id, config=cfg, steps=1,
-                          termination="disconnected", final=final, tci=tci)
+    def _outcome(self, run_id, cell_id, ratio, m_count=0, n_nodes=10, tci=""):
+        return RunOutcome(
+            run_id=run_id, cell_id=cell_id, n_initial=40, K=4, angiogenesis=0.4,
+            recovery=0.3, quiescence=0.5, seed=run_id, steps=1,
+            termination="disconnected", n_nodes=n_nodes, n_edges=int(ratio * n_nodes),
+            normal=n_nodes - m_count, quiescent=0, metastatic=m_count, dead=0,
+            volume_ratio=ratio, tci=tci,
+        )
 
     def test_mean_and_std(self):
-        spec = SweepSpec(csc_counts=(40,), seeds_per_cell=2)
         outcomes = [self._outcome(0, 0, 1.0), self._outcome(1, 0, 3.0)]
-        cells = aggregate(spec, outcomes)
+        cells = aggregate(outcomes)
         assert len(cells) == 1
         cell = cells[0]
+        assert isinstance(cell, CellAggregate)
+        assert (cell.n_initial, cell.K, cell.angiogenesis) == (40, 4, 0.4)
         assert cell.mean_volume_ratio == 2.0
         assert cell.std_volume_ratio == pytest.approx(math.sqrt(2))
         assert cell.seeds == 2
 
     def test_single_seed_std_is_zero(self):
-        spec = SweepSpec(csc_counts=(40,), seeds_per_cell=1)
-        cells = aggregate(spec, [self._outcome(0, 0, 2.5)])
+        cells = aggregate([self._outcome(0, 0, 2.5)])
         assert cells[0].std_volume_ratio == 0.0
 
     def test_metastatic_stats(self):
-        spec = SweepSpec(csc_counts=(40,), seeds_per_cell=2)
         outcomes = [
-            self._outcome(0, 0, 2.0, m_count=2, n_nodes=10),
-            self._outcome(1, 0, 2.0, m_count=4, n_nodes=10),
+            self._outcome(0, 0, 2.0, m_count=1, n_nodes=10),
+            self._outcome(1, 0, 2.0, m_count=3, n_nodes=10),
         ]
-        cell = aggregate(spec, outcomes)[0]
-        assert cell.mean_metastatic_count == 3.0
-        assert cell.mean_metastatic_fraction == pytest.approx(0.3)
+        cell = aggregate(outcomes)[0]
+        assert cell.mean_metastatic_count == 2.0
+        assert cell.std_metastatic_count == pytest.approx(math.sqrt(2))
+        assert cell.mean_metastatic_fraction == pytest.approx(0.2)
+
+    def test_build_cell_aggregate_direct(self):
+        # Ratios 1 and 3, metastatic fractions 0.1 and 0.3, one progression
+        # and one undefined tci in a cell of 10-node runs.
+        outcomes = [
+            self._outcome(0, 0, 1.0, m_count=1, n_nodes=10, tci="progression"),
+            self._outcome(1, 0, 3.0, m_count=3, n_nodes=10, tci=""),
+        ]
+        cell = aggregate(outcomes)[0]
+        assert isinstance(cell, CellAggregate)
+        assert cell.mean_volume_ratio == 2.0
+        assert cell.mean_metastatic_fraction == pytest.approx(0.2)
+        assert cell.std_metastatic_count == pytest.approx(math.sqrt(2))
+        assert cell.progression == 1 and cell.stabilization == 0
 
     def test_tci_tallies(self):
-        spec = SweepSpec(csc_counts=(40,), seeds_per_cell=3)
         outcomes = [
-            self._outcome(0, 0, 1.0, tci=TciClass.PROGRESSION),
-            self._outcome(1, 0, 1.0, tci=TciClass.PROGRESSION),
-            self._outcome(2, 0, 1.0, tci=TciClass.STABILIZATION),
+            self._outcome(0, 0, 1.0, tci="progression"),
+            self._outcome(1, 0, 1.0, tci="progression"),
+            self._outcome(2, 0, 1.0, tci="stabilization"),
+            self._outcome(3, 0, 1.0, tci=""),  # undefined: counted in no class
         ]
-        cell = aggregate(spec, outcomes)[0]
+        cell = aggregate(outcomes)[0]
         assert (cell.progression, cell.rejection, cell.stabilization) == (2, 0, 1)
+        assert cell.seeds == 4
 
     def test_incomplete_cell_rejected(self):
-        spec = SweepSpec(csc_counts=(40,), seeds_per_cell=2)
-        with pytest.raises(ValueError, match="cell 0 incomplete: expected 2"):
-            aggregate(spec, [self._outcome(0, 0, 1.0)])
+        outcomes = [self._outcome(0, 0, 1.0), self._outcome(1, 0, 1.0), self._outcome(2, 1, 1.0)]
+        with pytest.raises(ValueError, match=r"unequal run counts \[1, 2\]"):
+            aggregate(outcomes)
 
     def test_extra_runs_rejected(self):
-        spec = SweepSpec(csc_counts=(40,), seeds_per_cell=1)
-        outcomes = [self._outcome(0, 0, 1.0), self._outcome(1, 0, 2.0)]
-        with pytest.raises(ValueError, match="incomplete"):
-            aggregate(spec, outcomes)
+        outcomes = [self._outcome(0, 0, 1.0), self._outcome(1, 1, 1.0), self._outcome(2, 1, 2.0)]
+        with pytest.raises(ValueError, match="unequal"):
+            aggregate(outcomes)
+
+    def test_gap_in_cells_rejected(self):
+        with pytest.raises(ValueError, match="contiguous"):
+            aggregate([self._outcome(0, 1, 1.0)])
 
     def test_aggregates_recomputable_from_runs(self):
         # The cell table must be a pure function of the run outcomes.
         result = run_sweep(_tiny_spec())
-        assert aggregate(result.spec, result.runs) == result.cells
-
-    def test_build_cell_aggregate_direct(self):
-        cell = build_cell_aggregate(
-            cell_id=0, n_initial=10, K=4,
-            angiogenesis=0.4, recovery=0.3, quiescence=0.5,
-            ratios=[1.0, 3.0], fractions=[0.1, 0.3], counts=[1.0, 3.0],
-            tci_names=["progression", ""],
-        )
-        assert isinstance(cell, CellAggregate)
-        assert cell.std_metastatic_count == pytest.approx(math.sqrt(2))
-        assert cell.progression == 1 and cell.stabilization == 0
+        assert aggregate(result.runs) == result.cells
 
 
 class TestFig4Preset:
