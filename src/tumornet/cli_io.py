@@ -22,6 +22,7 @@ from typing import get_type_hints
 
 from . import engine, sweep as sweep_mod, tumor_model
 from .engine import TimeSeries
+from .metrics import TciClass
 from .sweep import CellAggregate, RunOutcome, SweepError, SweepSpec
 from .tumor_model import ConfigError, ControlFactors, ModelConfig, factor_level
 
@@ -51,6 +52,8 @@ SWEEP_RUNS_HEADER = (
 _RUN_COLUMNS = tuple(SWEEP_RUNS_HEADER.split(","))
 _run_row = attrgetter(*_RUN_COLUMNS)
 _RUN_COLUMN_TYPES = tuple(get_type_hints(RunOutcome)[c] for c in _RUN_COLUMNS)
+_TERMINATIONS = frozenset((engine.TERM_MAX_STEPS, engine.TERM_DISCONNECTED, engine.TERM_EXTINCT))
+_TCI_VALUES = frozenset(["", *(c.value for c in TciClass)])
 
 _INT_KEYS = ("n_initial", "K", "max_steps", "seed")
 _FLOAT_KEYS = ("p", "spawn_rate", "metastasis_rate", "apoptosis_rate")
@@ -287,7 +290,11 @@ def format_sweep_runs(outcomes: list[RunOutcome]) -> str:
 
 
 def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
-    """Parse a runs table written by format_sweep_runs back into its records."""
+    """Parse a runs table written by format_sweep_runs back into its records.
+
+    A row must have every column, parse with the field types, and name a
+    known termination reason and tci class ("" for undefined).
+    """
     try:
         text = Path(path).read_text()
     except FileNotFoundError:
@@ -303,7 +310,12 @@ def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
             values = [t(v) for t, v in zip(_RUN_COLUMN_TYPES, row, strict=True)]
         except ValueError:
             raise InputError(f"malformed row in {path}: {row!r}") from None
-        runs.append(RunOutcome(**dict(zip(_RUN_COLUMNS, values))))
+        run = RunOutcome(**dict(zip(_RUN_COLUMNS, values)))
+        if run.termination not in _TERMINATIONS:
+            raise InputError(f"unknown termination {run.termination!r} in {path}: {row!r}")
+        if run.tci not in _TCI_VALUES:
+            raise InputError(f"unknown tci {run.tci!r} in {path}: {row!r}")
+        runs.append(run)
     if not runs:
         raise InputError(f"no data rows in {path}")
     return runs

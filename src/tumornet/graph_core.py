@@ -20,9 +20,13 @@ import numpy as np
 
 NodeId = int
 
-# Pair-by-pair sampling is quadratic in n. Beyond this size callers should
+# Pair-by-pair sampling is quadratic in n: one uniform per pair, even though
+# generate_er draws them a block at a time. Beyond this size callers should
 # switch to generate_er_skip, which jumps between accepted edges instead.
 DENSE_SAMPLER_LIMIT = 20_000
+
+# Most uniforms generate_er draws in one call: 2**16 doubles, 0.5 MiB.
+_ER_BLOCK = 1 << 16
 
 # Below this pool size, sampling extra neighbors builds the candidate list
 # outright; above it, rejection sampling avoids the O(n) allocation.
@@ -131,8 +135,11 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
 
     Pairs (i, j) with i < j are visited in lexicographic order and each one
     consumes exactly one uniform draw, so the same (n, p, seed) always
-    yields the same graph, independent of p. Quadratic in n; use
-    generate_er_skip for large sparse graphs.
+    yields the same graph, independent of p. The uniforms are drawn in
+    blocks of at most _ER_BLOCK pairs in that order: random(a) then
+    random(b) gives the same doubles as random(a + b), so the blocks read
+    the same stream as one draw per pair, in bounded memory. Quadratic in
+    n; use generate_er_skip for large sparse graphs.
 
     Args:
         n: Number of nodes, at least 1.
@@ -149,14 +156,19 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     _check_prob(p)
     g = Graph(n)
     adj = g._adj
+    total = n * (n - 1) // 2
+    # Pair (i, j) has flat index starts[i] + j - i - 1; row i holds n-1-i pairs.
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * (2 * n - 1 - rows) // 2
     m = 0
-    for i in range(n - 1):
-        row = rng.random(n - 1 - i)
-        for off in np.flatnonzero(row < p):
-            j = i + 1 + int(off)
+    for lo in range(0, total, _ER_BLOCK):
+        hits = np.flatnonzero(rng.random(min(_ER_BLOCK, total - lo)) < p) + lo
+        src = np.searchsorted(starts, hits, side="right") - 1
+        dst = hits - starts[src] + src + 1
+        for i, j in zip(src.tolist(), dst.tolist()):
             adj[i].add(j)
             adj[j].add(i)
-            m += 1
+        m += hits.size
     g._n_edges = m
     return g
 
@@ -210,6 +222,10 @@ def is_connected(g: Graph) -> bool:
     if n == 0:
         raise ValueError("connectivity is undefined for an empty graph")
     adj = g._adj
+    # With more than one node, a node without neighbors is either node 0 or
+    # unreachable from it, so the search can be skipped.
+    if n > 1 and not all(adj):
+        return False
     seen = bytearray(n)
     seen[0] = 1
     count = 1

@@ -17,6 +17,7 @@ import statistics
 import sys
 from concurrent import futures
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from . import engine, metrics, tumor_model
@@ -274,12 +275,18 @@ def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = N
     return SweepResult(spec=spec, runs=outcomes, cells=aggregate(outcomes), workers=workers)
 
 
+# The columns every run of one cell shares with its CellAggregate.
+_cell_config = attrgetter("n_initial", "K", "angiogenesis", "recovery", "quiescence")
+
+
 def aggregate(runs: list[RunOutcome]) -> list[CellAggregate]:
     """Per-cell mean/std table in canonical cell order.
 
     Cells must be numbered contiguously from 0 and carry the same number of
-    runs each. Anything else means runs are missing, and partial statistics
-    would silently change their meaning, so it raises ValueError.
+    runs each, and the runs of one cell must agree on n_initial, K and the
+    three factors. Anything else means runs are missing or edited, and
+    partial statistics would silently change their meaning, so it raises
+    ValueError.
     """
     by_cell: dict[int, list[RunOutcome]] = {}
     for outcome in runs:
@@ -298,6 +305,11 @@ def aggregate(runs: list[RunOutcome]) -> list[CellAggregate]:
     for cell_id in range(len(by_cell)):
         cell_runs = sorted(by_cell[cell_id], key=lambda o: o.run_id)
         first = cell_runs[0]
+        if any(_cell_config(o) != _cell_config(first) for o in cell_runs):
+            raise ValueError(
+                f"runs of cell {cell_id} disagree on n_initial, K or factors; "
+                "runs are missing or edited"
+            )
         ratios = [o.volume_ratio for o in cell_runs]
         fractions = [o.metastatic / o.n_nodes for o in cell_runs]
         counts = [float(o.metastatic) for o in cell_runs]

@@ -217,7 +217,9 @@ class TestRunSummary:
             summarize_run(TimeSeries(), 0, True, 0.0)
 
 
-# One runs.csv data row: run 0 of cell 1 (so cell 0 is missing).
+# One runs.csv data row as run 0 of cell 0, and as run 0 of cell 1 (so cell 0
+# is missing).
+RUNS_ROW_CELL_0 = "0,0,40,4,0.2,0.3,0.5,0,1,disconnected,40,80,40,0,0,0,2.0,"
 RUNS_ROW_CELL_1 = "0,1,40,4,0.2,0.3,0.5,0,1,disconnected,40,80,40,0,0,0,2.0,"
 
 
@@ -515,6 +517,30 @@ class TestCli:
             assert code == 2
             assert "error: malformed row" in err and repr(row.split(",")) in err
             assert not out.exists()
+
+    def _analyze_rows(self, tmp_path, rows):
+        (tmp_path / "runs.csv").write_text("\n".join([SWEEP_RUNS_HEADER, *rows]) + "\n")
+        out = tmp_path / "s.csv"
+        code, _, err = _cli(["analyze", "--runs", str(tmp_path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        return err
+
+    def test_analyze_unknown_tci(self, tmp_path):
+        row = RUNS_ROW_CELL_0 + "progresion"
+        err = self._analyze_rows(tmp_path, [row])
+        assert "error: unknown tci 'progresion'" in err and repr(row.split(",")) in err
+
+    def test_analyze_unknown_termination(self, tmp_path):
+        row = RUNS_ROW_CELL_0.replace("disconnected", "disconected")
+        err = self._analyze_rows(tmp_path, [row])
+        assert "error: unknown termination 'disconected'" in err and repr(row.split(",")) in err
+
+    def test_analyze_cell_config_disagreement(self, tmp_path):
+        # Run 1 of cell 0 edited to another starting population.
+        edited = "1" + RUNS_ROW_CELL_0[1:].replace(",40,", ",360,", 1)
+        err = self._analyze_rows(tmp_path, [RUNS_ROW_CELL_0, edited])
+        assert "error: runs of cell 0 disagree" in err
 
     def test_plot_cli(self, tmp_path):
         config = _write(tmp_path / "run.cfg", CONNECTED_CONFIG)

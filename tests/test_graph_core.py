@@ -5,9 +5,10 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_graph import generate_er_rowwise
 from tumornet.engine import RngStream
 from tumornet.graph_core import (
     DegreeSequence,
@@ -137,6 +138,27 @@ class TestGenerateEr:
         with pytest.raises(ValueError):
             generate_er(5, -0.1, _rng(0))
 
+    # 363 nodes is the first size with more pairs (65,703) than one block of
+    # draws holds (65,536), so sizes up to 700 cross several block edges and
+    # end on a partial block.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 700),
+        p=st.one_of(st.sampled_from([0.0, 1.0, 5e-324, "sparse"]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(n=363, p="sparse", seed=0)
+    def test_same_draws_as_rowwise_reference(self, n, p, seed):
+        if p == "sparse":
+            # The sweep's derived density K/(n-1) at K=4.
+            p = min(1.0, 4 / (n - 1)) if n > 1 else 0.0
+        rng, ref_rng = _rng(seed), _rng(seed)
+        g = generate_er(n, p, rng)
+        ref = generate_er_rowwise(n, p, ref_rng)
+        assert g._adj == ref._adj
+        assert g.n_edges == ref.n_edges
+        assert rng.random() == ref_rng.random()
+
 
 class TestGenerateErSkip:
     def test_p_zero_and_one(self):
@@ -183,6 +205,17 @@ class TestConnectivity:
 
     def test_two_isolated_nodes(self):
         assert not is_connected(Graph(2))
+
+    def test_isolated_node_0(self):
+        g = Graph(4)
+        g.add_edge(1, 2)
+        g.add_edge(2, 3)
+        assert not is_connected(g)
+
+    def test_isolated_last_node(self):
+        g = _path(4)
+        g.add_node()
+        assert not is_connected(g)
 
     def test_path_is_connected(self):
         assert is_connected(_path(4))

@@ -1,6 +1,7 @@
 """Sweep expansion, execution, aggregation, and worker-count independence."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -271,6 +272,15 @@ class TestAggregate:
         outcomes = [self._outcome(0, 0, 1.0), self._outcome(1, 1, 1.0), self._outcome(2, 1, 2.0)]
         with pytest.raises(ValueError, match="unequal"):
             aggregate(outcomes)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_initial", 360), ("K", 5), ("angiogenesis", 0.9), ("recovery", 0.6), ("quiescence", 0.1)],
+    )
+    def test_cell_config_disagreement_rejected(self, field, value):
+        edited = replace(self._outcome(1, 0, 1.0), **{field: value})
+        with pytest.raises(ValueError, match="cell 0 disagree.*missing or edited"):
+            aggregate([self._outcome(0, 0, 1.0), edited])
 
     def test_gap_in_cells_rejected(self):
         with pytest.raises(ValueError, match="contiguous"):
