@@ -9,7 +9,7 @@ output.
 
 from .engine import RngStream, run, step
 from .graph_core import Graph, connectivity_threshold, generate_er, generate_er_skip, is_connected
-from .metrics import degree_histogram, tci_classify, volume_ratio
+from .metrics import tci_classify, volume_ratio
 from .sweep import SweepError, SweepSpec, fig4_spec, run_sweep
 from .tumor_model import ConfigError, ControlFactors, ModelConfig, init_model
 from .cli_io import main
@@ -25,7 +25,6 @@ __all__ = [
     "SweepError",
     "SweepSpec",
     "connectivity_threshold",
-    "degree_histogram",
     "fig4_spec",
     "generate_er",
     "generate_er_skip",

@@ -3,6 +3,11 @@
 All output formats are frozen byte-for-byte: fixed headers, fixed key
 order, fixed float formatting. Identical inputs must produce identical
 files, which is what the determinism tests pin down.
+
+The config parsers only convert text to values and name the line of each
+diagnostic; the bounds those values must satisfy live in
+tumor_model.BOUNDS and are checked by the dataclasses they build.
+Exit codes: 2 for a config, input or usage error, 3 for any internal fault.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import sys
 import time
 import traceback
 from dataclasses import replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -24,7 +30,7 @@ from . import engine, sweep as sweep_mod, tumor_model
 from .engine import TimeSeries
 from .metrics import TciClass
 from .sweep import CellAggregate, RunOutcome, SweepError, SweepSpec
-from .tumor_model import ConfigError, ControlFactors, ModelConfig, factor_level
+from .tumor_model import MEDIUM_FACTORS, ConfigError, ModelConfig, factor_level
 
 
 class InputError(ValueError):
@@ -55,28 +61,75 @@ _RUN_COLUMN_TYPES = tuple(get_type_hints(RunOutcome)[c] for c in _RUN_COLUMNS)
 _TERMINATIONS = frozenset((engine.TERM_MAX_STEPS, engine.TERM_DISCONNECTED, engine.TERM_EXTINCT))
 _TCI_VALUES = frozenset(["", *(c.value for c in TciClass)])
 
-_INT_KEYS = ("n_initial", "K", "max_steps", "seed")
-_FLOAT_KEYS = ("p", "spawn_rate", "metastasis_rate", "apoptosis_rate")
-_FACTOR_KEYS = ("angiogenesis", "recovery", "quiescence")
-_CONFIG_KEYS = frozenset(_INT_KEYS + _FLOAT_KEYS + _FACTOR_KEYS)
 
-_SPEC_LIST_INT_KEYS = ("csc_counts", "K_values")
-_SPEC_LIST_FLOAT_KEYS = ("angiogenesis_values", "recovery_values", "quiescence_values")
-_SPEC_INT_KEYS = ("seeds_per_cell", "base_seed", "max_steps")
-_SPEC_KEYS = frozenset(_SPEC_LIST_INT_KEYS + _SPEC_LIST_FLOAT_KEYS + _SPEC_INT_KEYS)
+def _read_text(path: str | Path, what: str) -> str:
+    """Read an input file; a missing or undecodable one is an InputError."""
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise InputError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} is not text: {path} ({exc.reason})") from None
 
 
 # ---------------------------------------------------------------------------
 # key=value parsing
+#
+# Each file type maps its keys to (converter, what the value must be). The
+# converters only turn text into values; every range rule lives in the
+# dataclass the values build (tumor_model.BOUNDS), and its ConfigError names
+# the field, which is the key, so the parser can name the line.
 
 
-def _parse_pairs(text: str, allowed: frozenset[str]) -> dict[str, tuple[int, str]]:
-    """Split key=value lines, tracking line numbers for diagnostics.
+def _level_or_number(factor: str, text: str) -> float:
+    try:
+        return factor_level(factor, text)
+    except ConfigError:
+        return float(text)
+
+
+_INT = (int, "an integer")
+_NUMBER = (float, "a number")
+_INTS = (lambda text: tuple(map(int, text.split(","))), "a comma-separated list of integers")
+_NUMBERS = (lambda text: tuple(map(float, text.split(","))), "a comma-separated list of numbers")
+_FACTOR_KEYS = ("angiogenesis", "recovery", "quiescence")
+
+_CONFIG_KEYS = {
+    "n_initial": _INT,
+    "K": _INT,
+    "p": _NUMBER,
+    "spawn_rate": _NUMBER,
+    "metastasis_rate": _NUMBER,
+    "apoptosis_rate": _NUMBER,
+    "max_steps": _INT,
+    "seed": _INT,
+    **{
+        key: (partial(_level_or_number, key), "a number or one of low/medium/high")
+        for key in _FACTOR_KEYS
+    },
+}
+
+_SPEC_KEYS = {
+    "csc_counts": _INTS,
+    "angiogenesis_values": _NUMBERS,
+    "recovery_values": _NUMBERS,
+    "quiescence_values": _NUMBERS,
+    "K_values": _INTS,
+    "seeds_per_cell": _INT,
+    "base_seed": _INT,
+    "max_steps": _INT,
+}
+
+
+def _parse(text: str, keys: dict, required: str, build):
+    """Parse key=value lines with keys' converters and build the result.
 
     '#' starts a comment anywhere on a line; blank lines are skipped;
-    unknown and duplicate keys are rejected.
+    unknown and duplicate keys are rejected. Returns build(**values) and the
+    line of each key; every diagnostic about a key names its line.
     """
-    pairs: dict[str, tuple[int, str]] = {}
+    values: dict = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -86,44 +139,31 @@ def _parse_pairs(text: str, allowed: frozenset[str]) -> dict[str, tuple[int, str
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in allowed:
+        if key not in keys:
             raise InputError(f"line {lineno}: unknown key {key!r}")
-        if key in pairs:
+        if key in lines:
             raise InputError(f"line {lineno}: duplicate key {key!r}")
         if not value:
             raise InputError(f"line {lineno}: empty value for {key!r}")
-        pairs[key] = (lineno, value)
-    return pairs
-
-
-def _int_value(key: str, lineno: int, value: str) -> int:
+        convert, what = keys[key]
+        try:
+            values[key] = convert(value)
+        except ValueError:
+            raise InputError(f"line {lineno}: {key} requires {what}, got {value!r}") from None
+        lines[key] = lineno
+    if required not in values:
+        raise InputError(f"missing required key {required!r}")
     try:
-        return int(value)
-    except ValueError:
-        raise InputError(f"line {lineno}: {key} requires an integer, got {value!r}") from None
+        return build(**values), lines
+    except ConfigError as exc:
+        if exc.field not in lines:
+            raise
+        raise InputError(f"line {lines[exc.field]}: {exc}") from None
 
 
-def _float_value(key: str, lineno: int, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise InputError(f"line {lineno}: {key} requires a number, got {value!r}") from None
-
-
-def _factor_value(key: str, lineno: int, value: str) -> float:
-    try:
-        return factor_level(key, value)
-    except ConfigError:
-        pass
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise InputError(
-            f"line {lineno}: {key} must be a number or one of low/medium/high, got {value!r}"
-        ) from None
-    if not 0.0 <= parsed <= 1.0:
-        raise InputError(f"line {lineno}: {key} must lie in [0, 1], got {value}")
-    return parsed
+def _model_config(**values) -> ModelConfig:
+    factors = {key: values.pop(key) for key in _FACTOR_KEYS if key in values}
+    return ModelConfig(factors=replace(MEDIUM_FACTORS, **factors), **values)
 
 
 def parse_config(text: str) -> ModelConfig:
@@ -133,89 +173,17 @@ def parse_config(text: str) -> ModelConfig:
     Missing optional keys fall back to the ModelConfig defaults; n_initial
     is required. Every diagnostic names the offending line.
     """
-    return _config_from_pairs(_parse_pairs(text, _CONFIG_KEYS))
-
-
-def _config_from_pairs(pairs: dict[str, tuple[int, str]]) -> ModelConfig:
-    if "n_initial" not in pairs:
-        raise InputError("missing required key 'n_initial'")
-    kwargs: dict = {}
-    for key in _INT_KEYS:
-        if key in pairs:
-            lineno, value = pairs[key]
-            parsed = _int_value(key, lineno, value)
-            lo = 1 if key in ("n_initial", "K") else 0
-            if parsed < lo:
-                raise InputError(f"line {lineno}: {key} must be at least {lo}, got {value}")
-            kwargs[key] = parsed
-    for key in _FLOAT_KEYS:
-        if key in pairs:
-            lineno, value = pairs[key]
-            parsed = _float_value(key, lineno, value)
-            if not 0.0 <= parsed <= 1.0:
-                raise InputError(f"line {lineno}: {key} must lie in [0, 1], got {value}")
-            kwargs[key] = parsed
-    factor_kwargs = {}
-    defaults = tumor_model.MEDIUM_FACTORS
-    for key in _FACTOR_KEYS:
-        if key in pairs:
-            lineno, value = pairs[key]
-            factor_kwargs[key] = _factor_value(key, lineno, value)
-        else:
-            factor_kwargs[key] = getattr(defaults, key)
-    kwargs["factors"] = ControlFactors(**factor_kwargs)
-    return ModelConfig(**kwargs)
-
-
-def serialize_config(config: ModelConfig) -> str:
-    """Write a config back to the flat key=value form.
-
-    parse_config(serialize_config(c)) == c for any parsed config; the
-    derived edge probability stays derived (no p line when p is None).
-    """
-    lines = [f"n_initial={config.n_initial}", f"K={config.K}"]
-    if config.p is not None:
-        lines.append(f"p={config.p!r}")
-    lines.append(f"angiogenesis={config.factors.angiogenesis!r}")
-    lines.append(f"recovery={config.factors.recovery!r}")
-    lines.append(f"quiescence={config.factors.quiescence!r}")
-    lines.append(f"spawn_rate={config.spawn_rate!r}")
-    lines.append(f"metastasis_rate={config.metastasis_rate!r}")
-    lines.append(f"apoptosis_rate={config.apoptosis_rate!r}")
-    lines.append(f"max_steps={config.max_steps}")
-    lines.append(f"seed={config.seed}")
-    return "\n".join(lines) + "\n"
+    return _parse(text, _CONFIG_KEYS, "n_initial", _model_config)[0]
 
 
 def parse_sweep_spec(text: str) -> SweepSpec:
     """Parse a flat key=value sweep spec; list values are comma-separated.
 
     csc_counts is required; every other dimension defaults to a singleton
-    at its medium preset, matching SweepSpec's defaults.
+    at its medium preset, matching SweepSpec's defaults. Every diagnostic
+    names the offending line.
     """
-    pairs = _parse_pairs(text, _SPEC_KEYS)
-    if "csc_counts" not in pairs:
-        raise InputError("missing required key 'csc_counts'")
-    kwargs: dict = {}
-    for key in _SPEC_LIST_INT_KEYS:
-        if key in pairs:
-            lineno, value = pairs[key]
-            kwargs[key] = tuple(
-                _int_value(key, lineno, tok.strip()) for tok in value.split(",")
-            )
-    for key in _SPEC_LIST_FLOAT_KEYS:
-        if key in pairs:
-            lineno, value = pairs[key]
-            kwargs[key] = tuple(
-                _float_value(key, lineno, tok.strip()) for tok in value.split(",")
-            )
-    for key in _SPEC_INT_KEYS:
-        if key in pairs:
-            lineno, value = pairs[key]
-            kwargs[key] = _int_value(key, lineno, value)
-    spec = SweepSpec(**kwargs)
-    spec.validate()
-    return spec
+    return _parse(text, _SPEC_KEYS, "csc_counts", SweepSpec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +212,10 @@ def summarize_run(
     """Single-record run summary with a fixed key order."""
     if not series.records:
         raise InputError("cannot summarize an empty series")
-    final = series.records[-1]
-    tci = sweep_mod.classify_series(series)
     return {
         "seed": seed,
         "seed_defaulted": seed_defaulted,
-        "steps": final.step,
-        "termination": series.termination,
-        "n_nodes": final.n_nodes,
-        "n_edges": final.n_edges,
-        "normal": final.count_normal,
-        "quiescent": final.count_quiescent,
-        "metastatic": final.count_metastatic,
-        "dead": final.count_dead,
-        "volume_ratio": final.volume_ratio,
-        "tci": tci.value if tci else None,
+        **sweep_mod.final_fields(series),
         "wall_clock_s": round(wall_clock_s, 3),
     }
 
@@ -295,10 +252,7 @@ def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
     A row must have every column, parse with the field types, and name a
     known termination reason and tci class ("" for undefined).
     """
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise InputError(f"runs table not found: {path}") from None
+    text = _read_text(path, "runs table")
     reader = csv.reader(io.StringIO(text))
     if tuple(next(reader, ())) != _RUN_COLUMNS:
         raise InputError(f"unexpected runs-table header in {path}")
@@ -385,10 +339,7 @@ def _render_chart(x_label: str, y_label: str, series: list[tuple[str, list[tuple
 
 
 def _read_csv_rows(path: str | Path, expected_header: str) -> list[dict]:
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise InputError(f"input file not found: {path}") from None
+    text = _read_text(path, "input file")
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames != expected_header.split(","):
         raise InputError(
@@ -455,10 +406,9 @@ def _default_workers() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    text = Path(args.config).read_text()
-    pairs = _parse_pairs(text, _CONFIG_KEYS)
-    config = _config_from_pairs(pairs)
-    seed_defaulted = "seed" not in pairs and args.seed is None
+    text = _read_text(args.config, "config file")
+    config, lines = _parse(text, _CONFIG_KEYS, "n_initial", _model_config)
+    seed_defaulted = "seed" not in lines and args.seed is None
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.steps is not None:
@@ -485,7 +435,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.preset:
         spec = sweep_mod.PRESETS[args.preset]()
     else:
-        spec = parse_sweep_spec(Path(args.spec).read_text())
+        spec = parse_sweep_spec(_read_text(args.spec, "sweep spec"))
     workers = args.workers if args.workers is not None else _default_workers()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -505,7 +455,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     runs_path = Path(args.runs) / "runs.csv"
-    cells = sweep_mod.aggregate(read_sweep_runs(runs_path))
+    runs = read_sweep_runs(runs_path)
+    try:
+        cells = sweep_mod.aggregate(runs)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     out_path = Path(args.out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -579,8 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        # ConfigError and InputError are ValueErrors.
+    except (ConfigError, InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SweepError, OSError) as exc:

@@ -1,11 +1,9 @@
-"""Output metrics: volume ratios, growth-curve classification, histograms."""
+"""Output metrics: volume ratios and growth-curve classification."""
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 
-from . import graph_core
 from .engine import TimeSeries
 from .graph_core import Graph
 
@@ -46,9 +44,3 @@ def tci_classify(series: TimeSeries, delta: float = 0.1) -> TciClass:
     if r < 1.0 - delta:
         return TciClass.REJECTION
     return TciClass.STABILIZATION
-
-
-def degree_histogram(g: Graph) -> dict[int, int]:
-    """Map degree value to node count; counts sum to n_nodes."""
-    counts = Counter(graph_core.degree_sequence(g).degrees)
-    return dict(sorted(counts.items()))

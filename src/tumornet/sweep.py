@@ -23,11 +23,26 @@ from pathlib import Path
 from . import engine, metrics, tumor_model
 from .engine import TimeSeries
 from .metrics import TciClass
-from .tumor_model import ConfigError, ControlFactors, ModelConfig
+from .tumor_model import ConfigError, ControlFactors, ModelConfig, check_bound
 
 
 class SweepError(RuntimeError):
     """A worker failed; the sweep was aborted."""
+
+
+# Each SweepSpec field -> the tumor_model.BOUNDS entry its values obey: a
+# grid dimension's values become that ModelConfig or ControlFactors field.
+_SPEC_BOUNDS = {
+    "csc_counts": "n_initial",
+    "angiogenesis_values": "angiogenesis",
+    "recovery_values": "recovery",
+    "quiescence_values": "quiescence",
+    "K_values": "K",
+    "seeds_per_cell": "seeds_per_cell",
+    "base_seed": "seed",
+    "max_steps": "max_steps",
+}
+_GRID = ("csc_counts", "angiogenesis_values", "recovery_values", "quiescence_values", "K_values")
 
 
 @dataclass(frozen=True)
@@ -35,7 +50,9 @@ class SweepSpec:
     """Grid dimensions for a sweep.
 
     Cells enumerate csc_counts outermost, then angiogenesis, recovery,
-    quiescence, K; the seed index varies innermost.
+    quiescence, K; the seed index varies innermost. Every grid dimension
+    must be non-empty, and every value must satisfy the bound of the
+    field it becomes; construction raises ConfigError otherwise.
     """
 
     csc_counts: tuple[int, ...]
@@ -48,38 +65,16 @@ class SweepSpec:
     max_steps: int = 500
 
     def __post_init__(self):
-        for name in (
-            "csc_counts",
-            "angiogenesis_values",
-            "recovery_values",
-            "quiescence_values",
-            "K_values",
-        ):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    def validate(self) -> None:
-        for name in (
-            "csc_counts",
-            "angiogenesis_values",
-            "recovery_values",
-            "quiescence_values",
-            "K_values",
-        ):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must not be empty")
-        if any(n < 1 for n in self.csc_counts):
-            raise ConfigError("csc_counts must be positive")
-        if any(k < 1 for k in self.K_values):
-            raise ConfigError("K_values must be at least 1")
-        for name in ("angiogenesis_values", "recovery_values", "quiescence_values"):
-            if any(not 0.0 <= v <= 1.0 for v in getattr(self, name)):
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.seeds_per_cell < 1:
-            raise ConfigError(f"seeds_per_cell must be at least 1, got {self.seeds_per_cell}")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
-        if self.max_steps < 0:
-            raise ConfigError(f"max_steps must be non-negative, got {self.max_steps}")
+        for name, bound in _SPEC_BOUNDS.items():
+            if name in _GRID:
+                values = tuple(getattr(self, name))
+                object.__setattr__(self, name, values)
+                if not values:
+                    raise ConfigError(f"{name} must not be empty", name)
+            else:
+                values = (getattr(self, name),)
+            for value in values:
+                check_bound(name, value, bound)
 
     @property
     def n_cells(self) -> int:
@@ -152,7 +147,6 @@ class SweepResult:
     """Outcomes in run_id order, their per-cell aggregates, and the worker
     count the sweep ran with after run_sweep's clamp."""
 
-    spec: SweepSpec
     runs: list[RunOutcome]
     cells: list[CellAggregate]
     workers: int
@@ -167,7 +161,6 @@ def expand(spec: SweepSpec) -> list[tuple[ModelConfig, int]]:
     configs opt into a disconnected start; the engine then ends each run
     as soon as that start is observed.
     """
-    spec.validate()
     plans: list[tuple[ModelConfig, int]] = []
     run_id = 0
     cells = itertools.product(
@@ -193,11 +186,28 @@ def expand(spec: SweepSpec) -> list[tuple[ModelConfig, int]]:
     return plans
 
 
-def classify_series(series: TimeSeries) -> TciClass | None:
-    """TCI class of a finished run, or None when it is undefined."""
-    if len(series.records) < 2 or series.records[0].volume_ratio <= 0:
-        return None
-    return metrics.tci_classify(series)
+def final_fields(series: TimeSeries) -> dict:
+    """The steps..tci fields of a finished run, in runs.csv column order.
+
+    The counts come from the final record. tci is the TciClass value, or
+    None when the class is undefined: fewer than two records, or a zero
+    initial volume ratio.
+    """
+    records = series.records
+    final = records[-1]
+    defined = len(records) >= 2 and records[0].volume_ratio > 0
+    return {
+        "steps": final.step,
+        "termination": series.termination,
+        "n_nodes": final.n_nodes,
+        "n_edges": final.n_edges,
+        "normal": final.count_normal,
+        "quiescent": final.count_quiescent,
+        "metastatic": final.count_metastatic,
+        "dead": final.count_dead,
+        "volume_ratio": final.volume_ratio,
+        "tci": metrics.tci_classify(series).value if defined else None,
+    }
 
 
 def _execute(task: tuple[int, int, ModelConfig, str | None]):
@@ -206,12 +216,12 @@ def _execute(task: tuple[int, int, ModelConfig, str | None]):
     try:
         model = tumor_model.init_model(config)
         series = engine.run(model, config.max_steps)
-        final = series.records[-1]
         if runs_dir is not None:
             from . import cli_io  # deferred, cli_io imports this module
 
             cli_io.write_run_csv(series, Path(runs_dir) / f"run{run_id:05d}.csv")
-        tci = classify_series(series)
+        fields = final_fields(series)
+        fields["tci"] = fields["tci"] or ""
         return RunOutcome(
             run_id=run_id,
             cell_id=cell_id,
@@ -221,16 +231,7 @@ def _execute(task: tuple[int, int, ModelConfig, str | None]):
             recovery=config.factors.recovery,
             quiescence=config.factors.quiescence,
             seed=config.seed,
-            steps=final.step,
-            termination=series.termination or "",
-            n_nodes=final.n_nodes,
-            n_edges=final.n_edges,
-            normal=final.count_normal,
-            quiescent=final.count_quiescent,
-            metastatic=final.count_metastatic,
-            dead=final.count_dead,
-            volume_ratio=final.volume_ratio,
-            tci=tci.value if tci else "",
+            **fields,
         )
     except Exception as exc:
         return ("error", run_id, config.seed, f"{type(exc).__name__}: {exc}")
@@ -272,7 +273,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = N
             raise SweepError(f"run {run_id} (cell {cell_id}, seed {seed}) failed: {message}")
         outcomes.append(item)
     outcomes.sort(key=lambda o: o.run_id)
-    return SweepResult(spec=spec, runs=outcomes, cells=aggregate(outcomes), workers=workers)
+    return SweepResult(runs=outcomes, cells=aggregate(outcomes), workers=workers)
 
 
 # The columns every run of one cell shares with its CellAggregate.

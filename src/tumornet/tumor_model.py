@@ -6,6 +6,11 @@ cells per code. Three control factors in [0, 1] steer the dynamics:
 angiogenesis feeds metastasis and growth, recovery clears metastatic cells
 and wakes quiescent ones, quiescence pushes normal cells dormant when
 angiogenesis is low. agent_step applies one whole step of transitions.
+
+BOUNDS is the one home of every numeric config bound. ModelConfig,
+ControlFactors and sweep.SweepSpec check their fields against it when they
+are built, so no invalid config object exists, and the text parsers in
+cli_io hold no bound of their own.
 """
 
 from __future__ import annotations
@@ -18,7 +23,45 @@ from .graph_core import DENSE_SAMPLER_LIMIT, Graph
 
 
 class ConfigError(ValueError):
-    """Invalid model or sweep configuration."""
+    """Invalid model or sweep configuration; field names the rejected field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+# field -> (low, high), inclusive; high None means no upper bound.
+BOUNDS = {
+    "n_initial": (1, None),
+    "K": (1, None),
+    "max_steps": (0, None),
+    "seed": (0, None),
+    "seeds_per_cell": (1, None),
+    "p": (0, 1),
+    "spawn_rate": (0, 1),
+    "metastasis_rate": (0, 1),
+    "apoptosis_rate": (0, 1),
+    "angiogenesis": (0, 1),
+    "recovery": (0, 1),
+    "quiescence": (0, 1),
+}
+
+
+def check_bound(field: str, value, bound: str | None = None) -> None:
+    """Raise ConfigError naming field unless value lies in BOUNDS[bound or field]."""
+    low, high = BOUNDS[bound or field]
+    if high is None:
+        if not value >= low:
+            raise ConfigError(f"{field} must be at least {low}, got {value}", field)
+    elif not low <= value <= high:
+        raise ConfigError(f"{field} must lie in [{low}, {high}], got {value}", field)
+
+
+def _check_fields(config) -> None:
+    """Check every bounded field of a config dataclass; None means unset."""
+    for name, value in vars(config).items():
+        if name in BOUNDS and value is not None:
+            check_bound(name, value)
 
 
 # Cell state codes: the values of Model.state and the indexes of Model.counts,
@@ -57,10 +100,7 @@ class ControlFactors:
     quiescence: float
 
     def __post_init__(self):
-        for name in ("angiogenesis", "recovery", "quiescence"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        _check_fields(self)
 
 
 MEDIUM_FACTORS = ControlFactors(angiogenesis=0.4, recovery=0.3, quiescence=0.5)
@@ -102,20 +142,7 @@ class ModelConfig:
     allow_below_threshold: bool = False
 
     def __post_init__(self):
-        if self.n_initial < 1:
-            raise ConfigError(f"n_initial must be at least 1, got {self.n_initial}")
-        if self.K < 1:
-            raise ConfigError(f"K must be at least 1, got {self.K}")
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"p must lie in [0, 1], got {self.p}")
-        for name in ("spawn_rate", "metastasis_rate", "apoptosis_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        if self.max_steps < 0:
-            raise ConfigError(f"max_steps must be non-negative, got {self.max_steps}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        _check_fields(self)
 
     @property
     def edge_prob(self) -> float:

@@ -4,13 +4,17 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tumornet import engine, sweep
 from tumornet.cli_io import (
+    _CONFIG_KEYS,
+    _SPEC_KEYS,
     RUN_CSV_HEADER,
     SWEEP_RUNS_HEADER,
     SWEEP_SUMMARY_HEADER,
@@ -23,13 +27,12 @@ from tumornet.cli_io import (
     parse_sweep_spec,
     plot_svg,
     read_sweep_runs,
-    serialize_config,
     summarize_run,
     write_summary,
 )
 from tumornet.engine import StepRecord, TimeSeries, run
 from tumornet.sweep import RunOutcome, SweepSpec, aggregate, run_sweep
-from tumornet.tumor_model import ModelConfig, init_model
+from tumornet.tumor_model import BOUNDS, ControlFactors, ModelConfig, init_model
 
 
 def _cli(argv):
@@ -116,22 +119,6 @@ class TestParseConfig:
             parse_config("n_initial=\n")
 
 
-class TestConfigRoundTrip:
-    def test_identity_on_validated_form(self):
-        texts = [
-            "n_initial=100\np=0.1\n",
-            "n_initial=50\nK=3\nangiogenesis=high\nseed=9\n",
-            "n_initial=200\nspawn_rate=0.125\nmax_steps=0\n",
-        ]
-        for text in texts:
-            cfg = parse_config(text)
-            assert parse_config(serialize_config(cfg)) == cfg
-
-    def test_derived_p_stays_derived(self):
-        cfg = parse_config("n_initial=100\n")
-        assert "p=" not in serialize_config(cfg)
-
-
 class TestParseSweepSpec:
     def test_lists_and_scalars(self):
         spec = parse_sweep_spec(
@@ -155,6 +142,67 @@ class TestParseSweepSpec:
     def test_validation_applies(self):
         with pytest.raises(Exception, match="\\[0, 1\\]"):
             parse_sweep_spec("csc_counts=40\nangiogenesis_values=2.0\n")
+
+
+def _out_of_range(bound):
+    """Text of a value outside BOUNDS[bound]."""
+    low, high = BOUNDS[bound]
+    if high is None:
+        return st.integers(max_value=low - 1).map(str)
+    return st.one_of(
+        st.floats(max_value=low, exclude_max=True), st.floats(min_value=high, exclude_min=True)
+    ).map(repr)
+
+
+@st.composite
+def _bad_value_file(draw):
+    """A config or spec file with one out-of-range value on a random line.
+
+    Returns (file type, text, key, the key's line number).
+    """
+    kind = draw(st.sampled_from(["config", "spec"]))
+    if kind == "config":
+        keys, required = _CONFIG_KEYS, "n_initial"
+    else:
+        keys, required = _SPEC_KEYS, "csc_counts"
+    key = draw(st.sampled_from(sorted(keys)))
+    bound = key if kind == "config" else sweep._SPEC_BOUNDS[key]
+    value = draw(_out_of_range(bound))
+    if kind == "spec" and key in sweep._GRID:
+        valid = "0.5" if BOUNDS[bound][1] is not None else "4"
+        value = draw(st.sampled_from([f"{valid},{value}", f"{value},{valid}"]))
+    others = draw(st.lists(st.sampled_from(["", "# note", "   "]), max_size=4))
+    if key != required:
+        others.append(f"{required}=50")
+    others = draw(st.permutations(others))
+    pos = draw(st.integers(0, len(others)))
+    lines = [*others[:pos], f"{key}={value}", *others[pos:]]
+    return kind, "\n".join(lines) + "\n", key, pos + 1
+
+
+class TestOneRuleSet:
+    """The dataclasses hold every bound; the parsers name the line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_bad_value_file())
+    @example(("spec", "csc_counts=40\nangiogenesis_values=2.0\n", "angiogenesis_values", 2))
+    def test_out_of_range_value_names_its_line(self, case):
+        kind, text, key, lineno = case
+        parse = parse_config if kind == "config" else parse_sweep_spec
+        with pytest.raises(InputError) as exc:
+            parse(text)
+        assert str(exc.value).startswith(f"line {lineno}: {key} must ")
+
+    def test_key_tables_are_the_dataclass_fields(self):
+        model = {f.name for f in fields(ModelConfig)} - {"factors", "allow_below_threshold"}
+        factors = {f.name for f in fields(ControlFactors)}
+        spec = {f.name for f in fields(SweepSpec)}
+        assert set(_CONFIG_KEYS) == model | factors
+        assert set(_SPEC_KEYS) == spec
+        # Every key is checked against a bound.
+        assert set(_CONFIG_KEYS) <= set(BOUNDS)
+        assert set(sweep._SPEC_BOUNDS) == spec
+        assert set(sweep._SPEC_BOUNDS.values()) <= set(BOUNDS)
 
 
 class TestRunCsv:
@@ -444,6 +492,28 @@ class TestCli:
         code, _, err = _cli(["run", "--config", config, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "integer" in err
+
+    def test_undecodable_input_files(self, tmp_path):
+        binary = b"n_initial=\xff\xfe60\n"
+        (tmp_path / "runs.csv").write_bytes(binary)
+        for argv in (
+            ["run", "--config", str(tmp_path / "runs.csv"), "--out", str(tmp_path / "o")],
+            ["sweep", "--spec", str(tmp_path / "runs.csv"), "--out", str(tmp_path / "s")],
+            ["analyze", "--runs", str(tmp_path), "--out", str(tmp_path / "s.csv")],
+        ):
+            code, _, err = _cli(argv)
+            assert code == 2
+            assert "is not text" in err and "Traceback" not in err
+
+    def test_internal_value_error_exits_3(self, tmp_path, monkeypatch):
+        def broken_run(model, max_steps):
+            raise ValueError("cell 7 is dead and cannot act")
+
+        monkeypatch.setattr(engine, "run", broken_run)
+        config = _write(tmp_path / "run.cfg", CONNECTED_CONFIG)
+        code, _, err = _cli(["run", "--config", config, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "Traceback" in err and "ValueError: cell 7 is dead and cannot act" in err
 
     def test_unknown_flag_usage_error(self, tmp_path):
         code, _, err = _cli(["run", "--config", "x", "--out", "y", "--frobnicate"])

@@ -1,4 +1,4 @@
-"""Volume ratios, TCI, histograms."""
+"""Volume ratios and TCI."""
 
 import math
 
@@ -9,7 +9,6 @@ from tumornet.engine import StepRecord, TimeSeries
 from tumornet.graph_core import Graph, degree_sequence, generate_er
 from tumornet.metrics import (
     TciClass,
-    degree_histogram,
     tci_classify,
     volume_ratio,
 )
@@ -100,32 +99,6 @@ class TestTciClassify:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             tci_classify(_series(1.0, 1.0), delta=-0.5)
-
-
-class TestDegreeHistogram:
-    def test_triangle(self):
-        assert degree_histogram(_triangle()) == {2: 3}
-
-    def test_star(self):
-        g = Graph(5)
-        for i in range(1, 5):
-            g.add_edge(0, i)
-        assert degree_histogram(g) == {1: 4, 4: 1}
-
-    def test_edgeless(self):
-        assert degree_histogram(Graph(6)) == {0: 6}
-
-    def test_keys_ascending_and_counts_sum_to_n(self):
-        rng = np.random.default_rng(404)
-        for _ in range(50):
-            n = int(rng.integers(1, 100))
-            g = generate_er(n, float(rng.random()), rng)
-            hist = degree_histogram(g)
-            keys = list(hist)
-            assert keys == sorted(keys)
-            assert sum(hist.values()) == n
-            # Histogram mass recovers the edge count by the handshake lemma.
-            assert sum(d * c for d, c in hist.items()) == 2 * g.n_edges
 
 
 class TestErMeanRatio:

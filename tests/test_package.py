@@ -6,7 +6,7 @@ LIBRARY = [
     "Graph", "generate_er", "generate_er_skip", "connectivity_threshold", "is_connected",
     "RngStream", "step", "run",
     "ModelConfig", "ControlFactors", "init_model",
-    "volume_ratio", "tci_classify", "degree_histogram",
+    "volume_ratio", "tci_classify",
     "SweepSpec", "run_sweep", "fig4_spec",
 ]
 

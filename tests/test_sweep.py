@@ -15,9 +15,9 @@ from tumornet.sweep import (
     SweepError,
     SweepSpec,
     aggregate,
-    classify_series,
     expand,
     fig4_spec,
+    final_fields,
     run_sweep,
 )
 from tumornet.engine import StepRecord, TimeSeries
@@ -53,17 +53,21 @@ class TestSweepSpec:
 
     def test_empty_dimension_rejected(self):
         with pytest.raises(ConfigError, match="must not be empty"):
-            SweepSpec(csc_counts=()).validate()
+            SweepSpec(csc_counts=())
         with pytest.raises(ConfigError):
-            SweepSpec(csc_counts=(10,), recovery_values=()).validate()
+            SweepSpec(csc_counts=(10,), recovery_values=())
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            SweepSpec(csc_counts=(10,), angiogenesis_values=(1.5,)).validate()
+            SweepSpec(csc_counts=(10,), angiogenesis_values=(1.5,))
         with pytest.raises(ConfigError):
-            SweepSpec(csc_counts=(0,)).validate()
+            SweepSpec(csc_counts=(0,))
         with pytest.raises(ConfigError):
-            SweepSpec(csc_counts=(10,), seeds_per_cell=0).validate()
+            SweepSpec(csc_counts=(10,), seeds_per_cell=0)
+        for field, value in (("K_values", (4, 0)), ("base_seed", -1), ("max_steps", -1)):
+            with pytest.raises(ConfigError, match=f"^{field} must be at least") as exc:
+                SweepSpec(csc_counts=(10,), **{field: value})
+            assert exc.value.field == field
 
 
 class TestExpand:
@@ -102,19 +106,23 @@ class TestExpand:
 
 
 class TestClassifySeries:
+    """The tci field of final_fields, and the final record it reports."""
+
     def _rec(self, step, ratio):
         return StepRecord(step, 10, int(10 * ratio), 10, 0, 0, 0, ratio)
 
     def test_progression(self):
-        ts = TimeSeries(records=[self._rec(0, 1.0), self._rec(1, 2.0)])
-        assert classify_series(ts) is TciClass.PROGRESSION
+        ts = TimeSeries(records=[self._rec(0, 1.0), self._rec(1, 2.0)], termination="max_steps")
+        fields = final_fields(ts)
+        assert fields["tci"] == TciClass.PROGRESSION.value
+        assert fields["steps"] == 1 and fields["n_edges"] == 20 and fields["volume_ratio"] == 2.0
 
     def test_short_series_undefined(self):
-        assert classify_series(TimeSeries(records=[self._rec(0, 1.0)])) is None
+        assert final_fields(TimeSeries(records=[self._rec(0, 1.0)]))["tci"] is None
 
     def test_zero_initial_undefined(self):
         ts = TimeSeries(records=[self._rec(0, 0.0), self._rec(1, 1.0)])
-        assert classify_series(ts) is None
+        assert final_fields(ts)["tci"] is None
 
 
 class TestRunSweep:
