@@ -63,13 +63,31 @@ _TCI_VALUES = frozenset(["", *(c.value for c in TciClass)])
 
 
 def _read_text(path: str | Path, what: str) -> str:
-    """Read an input file; a missing or undecodable one is an InputError."""
+    """Read an input file; a missing, non-file or undecodable one is an InputError."""
     try:
         return Path(path).read_text()
     except FileNotFoundError:
         raise InputError(f"{what} not found: {path}") from None
+    except (IsADirectoryError, NotADirectoryError):
+        raise InputError(f"{what} is not a file: {path}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{what} is not text: {path} ({exc.reason})") from None
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write text to path atomically: a temp file beside it, then os.replace.
+
+    A failed write leaves any earlier file at path whole and removes the
+    temp file, so no output is ever left half-written.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +221,7 @@ def format_run_csv(series: TimeSeries) -> str:
 
 
 def write_run_csv(series: TimeSeries, path: str | Path) -> None:
-    Path(path).write_text(format_run_csv(series))
+    _write_text(path, format_run_csv(series))
 
 
 def summarize_run(
@@ -221,7 +239,7 @@ def summarize_run(
 
 
 def write_summary(summary: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(summary) + "\n")
+    _write_text(path, json.dumps(summary) + "\n")
 
 
 def format_sweep_summary(cells: list[CellAggregate]) -> str:
@@ -249,8 +267,9 @@ def format_sweep_runs(outcomes: list[RunOutcome]) -> str:
 def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
     """Parse a runs table written by format_sweep_runs back into its records.
 
-    A row must have every column, parse with the field types, and name a
-    known termination reason and tci class ("" for undefined).
+    A row must have every column, parse with the field types, name a
+    known termination reason and tci class ("" for undefined), and have
+    four cell counts that sum to a positive n_nodes.
     """
     text = _read_text(path, "runs table")
     reader = csv.reader(io.StringIO(text))
@@ -269,6 +288,8 @@ def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
             raise InputError(f"unknown termination {run.termination!r} in {path}: {row!r}")
         if run.tci not in _TCI_VALUES:
             raise InputError(f"unknown tci {run.tci!r} in {path}: {row!r}")
+        if not 0 < run.n_nodes == run.normal + run.quiescent + run.metastatic + run.dead:
+            raise InputError(f"cell counts do not sum to a positive n_nodes in {path}: {row!r}")
         runs.append(run)
     if not runs:
         raise InputError(f"no data rows in {path}")
@@ -385,7 +406,7 @@ def plot_svg(input_path: str | Path, kind: str, out_path: str | Path) -> None:
         svg = _render_chart("angiogenesis", "mean_metastatic_count", series)
     else:
         raise InputError(f"unknown plot kind {kind!r}")
-    Path(out_path).write_text(svg)
+    _write_text(out_path, svg)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +421,7 @@ def _default_workers() -> int:
         workers = int(raw)
     except ValueError:
         raise InputError(f"TUMORNET_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise InputError(f"TUMORNET_WORKERS must be positive, got {workers}")
+    tumor_model.check_bound("TUMORNET_WORKERS", workers, "workers")
     return workers
 
 
@@ -444,8 +464,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec, workers=workers, runs_dir=out_dir if args.keep_runs else None
     )
     elapsed = time.perf_counter() - started
-    (out_dir / "summary.csv").write_text(format_sweep_summary(result.cells))
-    (out_dir / "runs.csv").write_text(format_sweep_runs(result.runs))
+    _write_text(out_dir / "summary.csv", format_sweep_summary(result.cells))
+    _write_text(out_dir / "runs.csv", format_sweep_runs(result.runs))
     print(
         f"sweep finished: {len(result.runs)} runs over {len(result.cells)} cells "
         f"in {elapsed:.1f}s with {result.workers} worker(s), wrote {out_dir / 'summary.csv'}"
@@ -463,7 +483,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(format_sweep_summary(cells))
+    _write_text(out_path, format_sweep_summary(cells))
     print(f"aggregated {len(cells)} cells from {runs_path} into {out_path}")
     return 0
 

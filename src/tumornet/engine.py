@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graph_core
+from . import graph_core, metrics
 
 TERM_MAX_STEPS = "max_steps"
 TERM_DISCONNECTED = "disconnected"
@@ -90,7 +90,7 @@ def collect(model) -> StepRecord:
         count_quiescent=quiescent,
         count_metastatic=metastatic,
         count_dead=dead,
-        volume_ratio=g.n_edges / g.n_nodes,
+        volume_ratio=metrics.volume_ratio(g),
     )
 
 

@@ -1,6 +1,12 @@
 """Erdos-Renyi graph construction and queries.
 
-The graph is a plain adjacency-set list over dense integer node ids.
+A Graph holds no container per node. It keeps one int degree per node, one
+byte per node that says whether the node has a neighbor with a smaller id,
+and its edges as two endpoint arrays (smaller id first): the ones a
+generator drew, followed by the ones added later. Neighbor queries and the
+connectivity search read a compressed adjacency (CSR) that is built from
+those arrays on demand and dropped at the next change.
+
 Generation consumes random draws in a canonical order so the edge set is a
 pure function of (n, p, seed), which is what makes golden-file tests and
 cross-process sweeps possible.
@@ -12,6 +18,7 @@ connected, which is what lets linked_since check only the newest nodes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -32,80 +39,162 @@ _ER_BLOCK = 1 << 16
 # outright; above it, rejection sampling avoids the O(n) allocation.
 _REJECTION_POOL_MIN = 4096
 
+_NO_NODES = np.empty(0, dtype=np.intp)
+
 
 class Graph:
     """Simple undirected graph with nodes numbered 0..n_nodes-1.
 
     Node ids are assigned densely at creation and never reused. No
-    self-loops, no parallel edges. The stored edge count always equals half
-    the degree sum. Nodes are only appended and edges are never removed;
-    there is no API for either removal.
+    self-loops, no parallel edges. The edge count always equals half the
+    degree sum. Nodes are only appended and edges are never removed; there
+    is no API for either removal.
     """
 
-    __slots__ = ("_adj", "_n_edges")
+    __slots__ = ("_deg", "_low", "_ends", "_lo", "_hi", "_keys", "_csr")
 
     def __init__(self, n_nodes: int = 0):
         if n_nodes < 0:
             raise ValueError(f"node count must be non-negative, got {n_nodes}")
-        self._adj: list[set[int]] = [set() for _ in range(n_nodes)]
-        self._n_edges = 0
+        self._deg: list[int] = [0] * n_nodes
+        # _low[i] is 1 once node i has a neighbor with a smaller id.
+        self._low = bytearray(n_nodes)
+        # Edge k is (lo, hi) with lo < hi: first the arrays in _ends, then the
+        # later edges in the lists _lo and _hi until _endpoints folds them in.
+        self._ends = (_NO_NODES, _NO_NODES)
+        self._lo: list[int] = []
+        self._hi: list[int] = []
+        # Edge keys for has_edge, built on first use; None until then.
+        self._keys: set[int] | None = None
+        # The CSR adjacency of _adjacency, until the graph next changes.
+        self._csr: tuple[list[int], list[int]] | None = None
 
     @property
     def n_nodes(self) -> int:
-        return len(self._adj)
+        return len(self._deg)
 
     @property
     def n_edges(self) -> int:
-        return self._n_edges
+        return self._ends[0].size + len(self._lo)
 
     def add_node(self) -> NodeId:
         """Append an isolated node and return its id."""
-        self._adj.append(set())
-        return len(self._adj) - 1
+        self._deg.append(0)
+        self._low.append(0)
+        self._csr = None
+        return len(self._deg) - 1
 
     def add_edge(self, i: NodeId, j: NodeId) -> None:
         self._check_node(i)
         self._check_node(j)
         if i == j:
             raise ValueError(f"self-loop at node {i} is not allowed")
-        if j in self._adj[i]:
+        lo, hi = (i, j) if i < j else (j, i)
+        key = _key(lo, hi)
+        keys = self._edge_keys()
+        if key in keys:
             raise ValueError(f"edge ({i}, {j}) already present")
-        self._adj[i].add(j)
-        self._adj[j].add(i)
-        self._n_edges += 1
+        keys.add(key)
+        self._deg[lo] += 1
+        self._deg[hi] += 1
+        self._low[hi] = 1
+        self._lo.append(lo)
+        self._hi.append(hi)
+        self._csr = None
 
     def has_edge(self, i: NodeId, j: NodeId) -> bool:
         self._check_node(i)
         self._check_node(j)
-        return j in self._adj[i]
+        lo, hi = (i, j) if i < j else (j, i)
+        return lo != hi and _key(lo, hi) in self._edge_keys()
 
     def neighbors(self, i: NodeId) -> set[int]:
-        """Neighbor ids of node i, as a defensive copy."""
+        """Neighbor ids of node i, as a fresh set."""
         self._check_node(i)
-        return set(self._adj[i])
+        ptr, nbrs = self._adjacency()
+        return set(nbrs[ptr[i] : ptr[i + 1]])
 
     def degree(self, i: NodeId) -> int:
         self._check_node(i)
-        return len(self._adj[i])
+        return self._deg[i]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (i, j) with i < j, in ascending lexicographic order."""
-        for i, nbrs in enumerate(self._adj):
-            for j in sorted(nbrs):
-                if j > i:
-                    yield (i, j)
+        lo, hi = self._endpoints()
+        order = np.lexsort((hi, lo))
+        yield from zip(lo[order].tolist(), hi[order].tolist())
 
     def _check_node(self, i: int) -> None:
-        if not 0 <= i < len(self._adj):
+        if not 0 <= i < len(self._deg):
             raise ValueError(f"node {i} does not exist")
+
+    def _link_new_node(self, nbrs: list[int]) -> NodeId:
+        """Append a node adjacent to nbrs: distinct existing nodes, at least one."""
+        deg = self._deg
+        new = len(deg)
+        for c in nbrs:
+            deg[c] += 1
+        deg.append(len(nbrs))
+        self._low.append(1)
+        self._lo.extend(nbrs)
+        self._hi.extend([new] * len(nbrs))
+        if self._keys is not None:
+            self._keys.update(_key(c, new) for c in nbrs)
+        self._csr = None
+        return new
+
+    def _edge_keys(self) -> set[int]:
+        if self._keys is None:
+            self._keys = set(_key(*self._endpoints()).tolist())
+        return self._keys
+
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """All edges as (lo, hi) arrays; folds the later edges into _ends."""
+        if self._lo:
+            lo, hi = self._ends
+            self._ends = (
+                np.concatenate((lo, np.array(self._lo, dtype=np.intp))),
+                np.concatenate((hi, np.array(self._hi, dtype=np.intp))),
+            )
+            self._lo = []
+            self._hi = []
+        return self._ends
+
+    def _adjacency(self) -> tuple[list[int], list[int]]:
+        """CSR adjacency: the neighbors of i are nbrs[ptr[i]:ptr[i + 1]]."""
+        if self._csr is None:
+            lo, hi = self._endpoints()
+            order = np.argsort(np.concatenate((lo, hi)))
+            nbrs = np.concatenate((hi, lo))[order].tolist()
+            self._csr = (list(itertools.accumulate(self._deg, initial=0)), nbrs)
+        return self._csr
 
     def __eq__(self, other: object):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj
+        # Equal degrees give equal node and edge counts; then compare edge sets.
+        return self._deg == other._deg and np.array_equal(
+            np.sort(_key(*self._endpoints())), np.sort(_key(*other._endpoints()))
+        )
 
     def __repr__(self) -> str:
         return f"Graph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
+
+
+def _key(lo, hi):
+    """Distinct key of edge (lo, hi), lo < hi: its index in lower-triangle order."""
+    return hi * (hi - 1) // 2 + lo
+
+
+def _graph_from_edges(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph:
+    """A Graph on n nodes whose edges are the distinct pairs (lo[k], hi[k]), lo < hi."""
+    g = Graph()
+    g._deg = (np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)).tolist()
+    low = np.zeros(n, dtype=np.uint8)
+    low[hi] = 1
+    g._low = bytearray(low)
+    g._ends = (lo, hi)
+    return g
 
 
 @dataclass(frozen=True)
@@ -154,23 +243,18 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     """
     _check_size(n)
     _check_prob(p)
-    g = Graph(n)
-    adj = g._adj
     total = n * (n - 1) // 2
     # Pair (i, j) has flat index starts[i] + j - i - 1; row i holds n-1-i pairs.
     rows = np.arange(n - 1, dtype=np.int64)
     starts = rows * (2 * n - 1 - rows) // 2
-    m = 0
+    # Hit endpoints per block; the empty pair keeps one node's concatenate valid.
+    srcs, dsts = [_NO_NODES], [_NO_NODES]
     for lo in range(0, total, _ER_BLOCK):
         hits = np.flatnonzero(rng.random(min(_ER_BLOCK, total - lo)) < p) + lo
         src = np.searchsorted(starts, hits, side="right") - 1
-        dst = hits - starts[src] + src + 1
-        for i, j in zip(src.tolist(), dst.tolist()):
-            adj[i].add(j)
-            adj[j].add(i)
-        m += hits.size
-    g._n_edges = m
-    return g
+        srcs.append(src)
+        dsts.append(hits - starts[src] + src + 1)
+    return _graph_from_edges(n, np.concatenate(srcs), np.concatenate(dsts))
 
 
 def generate_er_skip(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -182,19 +266,14 @@ def generate_er_skip(n: int, p: float, rng: np.random.Generator) -> Graph:
     """
     _check_size(n)
     _check_prob(p)
-    g = Graph(n)
     if p <= 0.0:
-        return g
-    adj = g._adj
+        return Graph(n)
     if p >= 1.0:
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                adj[i].add(j)
-                adj[j].add(i)
-        g._n_edges = n * (n - 1) // 2
-        return g
+        lo, hi = np.triu_indices(n, 1)
+        return _graph_from_edges(n, lo, hi)
     lp = math.log1p(-p)
-    m = 0
+    los: list[int] = []
+    his: list[int] = []
     v, w = 1, -1
     while v < n:
         u = rng.random()
@@ -203,11 +282,9 @@ def generate_er_skip(n: int, p: float, rng: np.random.Generator) -> Graph:
             w -= v
             v += 1
         if v < n:
-            adj[v].add(w)
-            adj[w].add(v)
-            m += 1
-    g._n_edges = m
-    return g
+            los.append(w)
+            his.append(v)
+    return _graph_from_edges(n, np.array(los, dtype=np.intp), np.array(his, dtype=np.intp))
 
 
 def connectivity_threshold(n: int) -> float:
@@ -221,18 +298,18 @@ def is_connected(g: Graph) -> bool:
     n = g.n_nodes
     if n == 0:
         raise ValueError("connectivity is undefined for an empty graph")
-    adj = g._adj
     # With more than one node, a node without neighbors is either node 0 or
     # unreachable from it, so the search can be skipped.
-    if n > 1 and not all(adj):
+    if n > 1 and not all(g._deg):
         return False
+    ptr, nbrs = g._adjacency()
     seen = bytearray(n)
     seen[0] = 1
     count = 1
     stack = [0]
     while stack:
         i = stack.pop()
-        for j in adj[i]:
+        for j in nbrs[ptr[i] : ptr[i + 1]]:
             if not seen[j]:
                 seen[j] = 1
                 count += 1
@@ -250,13 +327,12 @@ def linked_since(g: Graph, n_known: int) -> bool:
     is_connected. Node 0 has no smaller neighbor, so n_known = 0 (no
     connected prefix known yet) always gives False on a non-empty graph.
     """
-    adj = g._adj
-    return all(min(adj[i], default=i) < i for i in range(n_known, len(adj)))
+    return all(g._low[n_known:])
 
 
 def degree_sequence(g: Graph) -> DegreeSequence:
     """Degrees in ascending node-id order; .edge_count recovers m."""
-    return DegreeSequence([len(nbrs) for nbrs in g._adj])
+    return DegreeSequence(list(g._deg))
 
 
 def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Generator) -> NodeId:
@@ -272,34 +348,28 @@ def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Gener
     Raises:
         ValueError: If the anchor does not exist or k_extra is negative.
     """
-    if not 0 <= anchor < g.n_nodes:
+    n_before = g.n_nodes
+    if not 0 <= anchor < n_before:
         raise ValueError(f"anchor node {anchor} does not exist")
     if k_extra < 0:
         raise ValueError(f"k_extra must be non-negative, got {k_extra}")
-    adj = g._adj
-    n_before = len(adj)
     pool = n_before - 1
     k = min(k_extra, pool)
-    # The new node's neighbor set. Every edge below is valid by construction
-    # (a fresh node, distinct existing endpoints), so the add_edge checks are
-    # skipped and the edges are written straight into the adjacency sets.
+    # The new node's neighbors, distinct existing nodes, so every edge is
+    # valid by construction and the add_edge checks are skipped.
     if k <= 0:
-        nbrs = {anchor}
+        nbrs = [anchor]
     elif k >= pool:
-        nbrs = set(range(n_before))
+        nbrs = list(range(n_before))
     elif n_before <= _REJECTION_POOL_MIN:
         # Sample positions in the pool with the anchor spliced out, then map
         # back: position idx names node idx, shifted past the anchor.
         picks = rng.choice(pool, size=k, replace=False).tolist()
-        nbrs = {idx if idx < anchor else idx + 1 for idx in picks}
-        nbrs.add(anchor)
+        nbrs = [idx if idx < anchor else idx + 1 for idx in picks]
+        nbrs.append(anchor)
     else:
-        nbrs = {anchor}
-        while len(nbrs) <= k:
-            nbrs.add(int(rng.integers(0, n_before)))
-    new = n_before
-    adj.append(nbrs)
-    for c in nbrs:
-        adj[c].add(new)
-    g._n_edges += len(nbrs)
-    return new
+        chosen = {anchor}
+        while len(chosen) <= k:
+            chosen.add(int(rng.integers(0, n_before)))
+        nbrs = list(chosen)
+    return g._link_new_node(nbrs)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import enum
+from typing import TYPE_CHECKING
 
-from .engine import TimeSeries
-from .graph_core import Graph
+if TYPE_CHECKING:
+    # Annotations only: engine imports this module for volume_ratio.
+    from .engine import TimeSeries
+    from .graph_core import Graph
 
 
 class TciClass(enum.Enum):

@@ -247,8 +247,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = N
     processes start than there are runs; more than os.cpu_count() draws a
     warning on stderr. The result records the worker count used.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+    check_bound("workers", workers)
     plans = expand(spec)
     dir_arg = str(runs_dir) if runs_dir is not None else None
     tasks = [

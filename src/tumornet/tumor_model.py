@@ -37,6 +37,7 @@ BOUNDS = {
     "max_steps": (0, None),
     "seed": (0, None),
     "seeds_per_cell": (1, None),
+    "workers": (1, None),
     "p": (0, 1),
     "spawn_rate": (0, 1),
     "metastasis_rate": (0, 1),
@@ -243,7 +244,7 @@ def agent_step(model: Model, ids: list[int]) -> None:
     f = cfg.factors
     state = model.state
     counts = model.counts
-    adj = model.graph._adj
+    degrees = model.graph._deg
     recovery = f.recovery
     spawn_below = recovery + (1.0 - recovery) * f.angiogenesis * cfg.spawn_rate
     q_eff = f.quiescence * (1.0 - f.angiogenesis)
@@ -252,7 +253,7 @@ def agent_step(model: Model, ids: list[int]) -> None:
     for i, u in zip(ids, model._trans_rng.random(len(ids)).tolist()):
         s = state[i]
         if s == NORMAL:
-            deg = len(adj[i])
+            deg = degrees[i]
             below = normal_below.get(deg)
             if below is None:
                 m_eff = min(1.0, f.angiogenesis * cfg.metastasis_rate * deg / cfg.K)

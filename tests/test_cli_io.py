@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -19,6 +20,7 @@ from tumornet.cli_io import (
     SWEEP_RUNS_HEADER,
     SWEEP_SUMMARY_HEADER,
     InputError,
+    _write_text,
     format_run_csv,
     format_sweep_runs,
     format_sweep_summary,
@@ -32,7 +34,7 @@ from tumornet.cli_io import (
 )
 from tumornet.engine import StepRecord, TimeSeries, run
 from tumornet.sweep import RunOutcome, SweepSpec, aggregate, run_sweep
-from tumornet.tumor_model import BOUNDS, ControlFactors, ModelConfig, init_model
+from tumornet.tumor_model import BOUNDS, ConfigError, ControlFactors, ModelConfig, init_model
 
 
 def _cli(argv):
@@ -205,6 +207,18 @@ class TestOneRuleSet:
         assert set(sweep._SPEC_BOUNDS.values()) <= set(BOUNDS)
 
 
+    def test_worker_count_bound_is_read_from_bounds(self, tmp_path, monkeypatch):
+        # Both the env default and run_sweep follow the one BOUNDS entry.
+        monkeypatch.setitem(BOUNDS, "workers", (3, None))
+        with pytest.raises(ConfigError, match="workers must be at least 3, got 2"):
+            run_sweep(SweepSpec(csc_counts=(40,), max_steps=1), workers=2)
+        spec = _write(tmp_path / "grid.cfg", "csc_counts=40\nseeds_per_cell=1\n")
+        monkeypatch.setenv("TUMORNET_WORKERS", "2")
+        code, _, err = _cli(["sweep", "--spec", spec, "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "error: TUMORNET_WORKERS must be at least 3, got 2" in err
+
+
 class TestRunCsv:
     def test_golden_bytes(self):
         series = TimeSeries(
@@ -269,6 +283,31 @@ class TestRunSummary:
 # is missing).
 RUNS_ROW_CELL_0 = "0,0,40,4,0.2,0.3,0.5,0,1,disconnected,40,80,40,0,0,0,2.0,"
 RUNS_ROW_CELL_1 = "0,1,40,4,0.2,0.3,0.5,0,1,disconnected,40,80,40,0,0,0,2.0,"
+
+
+class TestAtomicWrite:
+    def _left(self, directory):
+        return {p.name: p.read_text() for p in directory.iterdir()}
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "run.csv"
+        _write_text(path, "earlier\n")
+        # A lone surrogate cannot be encoded, so the write fails part way.
+        with pytest.raises(UnicodeEncodeError):
+            _write_text(path, "later\n" * 10_000 + "\ud800")
+        assert self._left(tmp_path) == {"run.csv": "earlier\n"}
+
+    def test_failed_replace_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "summary.json"
+        write_summary({"seed": 1}, path)
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="no space left"):
+            write_summary({"seed": 2}, path)
+        assert self._left(tmp_path) == {"summary.json": '{"seed": 1}\n'}
 
 
 class TestSweepTables:
@@ -612,6 +651,26 @@ class TestCli:
         err = self._analyze_rows(tmp_path, [RUNS_ROW_CELL_0, edited])
         assert "error: runs of cell 0 disagree" in err
 
+    def test_analyze_counts_must_sum_to_positive_n_nodes(self, tmp_path):
+        # All counts edited to 0 (aggregate would divide by n_nodes), and one
+        # count edited so the four no longer sum to n_nodes.
+        zeroed = RUNS_ROW_CELL_0.replace(",40,80,40,0,0,0,", ",0,80,0,0,0,0,")
+        mismatched = RUNS_ROW_CELL_0.replace(",40,80,40,0,0,0,", ",40,80,39,0,0,0,")
+        for row in (zeroed, mismatched):
+            err = self._analyze_rows(tmp_path, [row])
+            assert "error: cell counts do not sum to a positive n_nodes" in err
+            assert repr(row.split(",")) in err and "Traceback" not in err
+
+    def test_input_path_that_is_not_a_file(self, tmp_path):
+        table = tmp_path / "runs.csv"
+        table.write_text(SWEEP_RUNS_HEADER + "\n" + RUNS_ROW_CELL_0 + "\n")
+        code, _, err = _cli(["analyze", "--runs", str(table), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "error: runs table is not a file" in err and "Traceback" not in err
+        code, _, err = _cli(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: config file is not a file" in err and "Traceback" not in err
+
     def test_plot_cli(self, tmp_path):
         config = _write(tmp_path / "run.cfg", CONNECTED_CONFIG)
         out_dir = tmp_path / "out"
@@ -640,6 +699,13 @@ class TestCli:
         code, _, err = _cli(["sweep", "--spec", spec, "--out", str(tmp_path / "s")])
         assert code == 2
         assert "TUMORNET_WORKERS" in err
+
+    def test_workers_env_below_bound(self, tmp_path, monkeypatch):
+        spec = _write(tmp_path / "grid.cfg", "csc_counts=40\nseeds_per_cell=1\n")
+        monkeypatch.setenv("TUMORNET_WORKERS", "0")
+        code, _, err = _cli(["sweep", "--spec", spec, "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "error: TUMORNET_WORKERS must be at least 1, got 0" in err
 
     def test_workers_flag_beats_env(self, tmp_path, monkeypatch):
         spec = _write(

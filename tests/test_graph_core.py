@@ -155,7 +155,8 @@ class TestGenerateEr:
         rng, ref_rng = _rng(seed), _rng(seed)
         g = generate_er(n, p, rng)
         ref = generate_er_rowwise(n, p, ref_rng)
-        assert g._adj == ref._adj
+        assert g == ref
+        assert degree_sequence(g) == degree_sequence(ref)
         assert g.n_edges == ref.n_edges
         assert rng.random() == ref_rng.random()
 
@@ -310,6 +311,82 @@ class TestLinkedSince:
             assert connected == _nx_connected(g)
             if connected:
                 known = g.n_nodes
+
+
+def _nx_er(n, p, seed):
+    """G(n, p) as generate_er draws it: one uniform per pair (i, j), i < j, in order."""
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    hits = _rng(seed).random(len(pairs)) < p
+    h.add_edges_from(pair for pair, hit in zip(pairs, hits) if hit)
+    return h
+
+
+class TestGraphMatchesNetworkx:
+    """Every query of a Graph agrees with networkx after any mix of operations."""
+
+    def _check(self, g, h, data):
+        n = g.n_nodes
+        assert n == h.number_of_nodes()
+        assert g.n_edges == h.number_of_edges()
+        assert [g.degree(i) for i in range(n)] == [h.degree(i) for i in range(n)]
+        assert degree_sequence(g).degrees == [h.degree(i) for i in range(n)]
+        assert list(g.edges()) == sorted(tuple(sorted(e)) for e in h.edges())
+        assert all(g.neighbors(i) == set(h[i]) for i in range(n))
+        assert all(g.has_edge(i, j) == h.has_edge(i, j) for i in range(n) for j in range(n))
+        assert is_connected(g) == nx.is_connected(h)
+        known = data.draw(st.integers(0, n + 1))
+        assert linked_since(g, known) == all(min(h[i], default=i) < i for i in range(known, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_operations_match_networkx(self, n, p, seed, data):
+        g = generate_er(n, p, _rng(seed))
+        h = _nx_er(n, p, seed)
+        rng = _rng(seed + 1)
+        ops = data.draw(
+            st.lists(st.tuples(st.sampled_from(["node", "edge", "linked"]), st.booleans()), max_size=10)
+        )
+        # Checking only after some operations lets the lazily built views go
+        # stale across several changes before they are read again.
+        for op, check in [("none", True)] + ops:
+            n = g.n_nodes
+            if op == "node":
+                assert g.add_node() == n
+                h.add_node(n)
+            elif op == "edge":
+                i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+                if i == j or h.has_edge(i, j):
+                    with pytest.raises(ValueError):
+                        g.add_edge(i, j)
+                else:
+                    g.add_edge(i, j)
+                    h.add_edge(i, j)
+            elif op == "linked":
+                anchor, k_extra = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 4))
+                assert add_node_linked(g, anchor, k_extra, rng) == n
+                nbrs = g.neighbors(n)
+                assert anchor in nbrs and max(nbrs) < n
+                assert len(nbrs) == 1 + min(k_extra, n - 1)
+                h.add_edges_from((c, n) for c in nbrs)
+            if check:
+                self._check(g, h, data)
+        self._check(g, h, data)
+        rebuilt = Graph(g.n_nodes)
+        for i, j in h.edges():
+            rebuilt.add_edge(i, j)
+        assert rebuilt == g
+        if h.number_of_edges():
+            rebuilt = Graph(g.n_nodes)
+            for i, j in list(h.edges())[1:]:
+                rebuilt.add_edge(i, j)
+            assert rebuilt != g
 
 
 class TestDegreeSequence:
