@@ -22,7 +22,7 @@ import time
 import traceback
 from dataclasses import replace
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -57,7 +57,7 @@ SWEEP_RUNS_HEADER = (
 # str() and read back with the field's type.
 _RUN_COLUMNS = tuple(SWEEP_RUNS_HEADER.split(","))
 _run_row = attrgetter(*_RUN_COLUMNS)
-_RUN_COLUMN_TYPES = tuple(get_type_hints(RunOutcome)[c] for c in _RUN_COLUMNS)
+_RUN_COLUMN_TYPES = itemgetter(*_RUN_COLUMNS)(get_type_hints(RunOutcome))
 _TERMINATIONS = frozenset((engine.TERM_MAX_STEPS, engine.TERM_DISCONNECTED, engine.TERM_EXTINCT))
 _TCI_VALUES = frozenset(["", *(c.value for c in TciClass)])
 
@@ -74,20 +74,41 @@ def _read_text(path: str | Path, what: str) -> str:
         raise InputError(f"{what} is not text: {path} ({exc.reason})") from None
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    """Write text to path atomically: a temp file beside it, then os.replace.
+def _write_text(*files: tuple[str | Path, str]) -> None:
+    """Write each (path, text) pair atomically and together.
 
-    A failed write leaves any earlier file at path whole and removes the
-    temp file, so no output is ever left half-written.
+    Every text goes to a temp file beside its path first; only then is each
+    temp file renamed into place with os.replace. A failure removes the temp
+    files and leaves any earlier file at each path whole, so no output is
+    ever left half-written, and a failure before the first rename changes
+    none of the paths. A path that is a directory, or whose parent is a
+    file, is an InputError.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    moves: list[tuple[Path, Path]] = []
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+        for path, text in files:
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            moves.append((tmp, path))
+            tmp.write_text(text)
+        for tmp, path in moves:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp, _ in moves:
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, (IsADirectoryError, NotADirectoryError)):
+            raise InputError(f"cannot write {path}: {exc.strerror}") from None
         raise
+
+
+def _out_dir(path: str | Path) -> Path:
+    """Create an output directory; a file in its place is an InputError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise InputError(f"output directory is not a directory: {path}") from None
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +242,7 @@ def format_run_csv(series: TimeSeries) -> str:
 
 
 def write_run_csv(series: TimeSeries, path: str | Path) -> None:
-    _write_text(path, format_run_csv(series))
+    _write_text((path, format_run_csv(series)))
 
 
 def summarize_run(
@@ -239,7 +260,7 @@ def summarize_run(
 
 
 def write_summary(summary: dict, path: str | Path) -> None:
-    _write_text(path, json.dumps(summary) + "\n")
+    _write_text((path, json.dumps(summary) + "\n"))
 
 
 def format_sweep_summary(cells: list[CellAggregate]) -> str:
@@ -406,7 +427,7 @@ def plot_svg(input_path: str | Path, kind: str, out_path: str | Path) -> None:
         svg = _render_chart("angiogenesis", "mean_metastatic_count", series)
     else:
         raise InputError(f"unknown plot kind {kind!r}")
-    _write_text(out_path, svg)
+    _write_text((out_path, svg))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +456,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = replace(config, max_steps=args.steps)
     if args.allow_below_threshold:
         config = replace(config, allow_below_threshold=True)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     started = time.perf_counter()
     model = tumor_model.init_model(config)
     series = engine.run(model, config.max_steps)
@@ -457,15 +477,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         spec = parse_sweep_spec(_read_text(args.spec, "sweep spec"))
     workers = args.workers if args.workers is not None else _default_workers()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     started = time.perf_counter()
     result = sweep_mod.run_sweep(
         spec, workers=workers, runs_dir=out_dir if args.keep_runs else None
     )
     elapsed = time.perf_counter() - started
-    _write_text(out_dir / "summary.csv", format_sweep_summary(result.cells))
-    _write_text(out_dir / "runs.csv", format_sweep_runs(result.runs))
+    _write_text(
+        (out_dir / "summary.csv", format_sweep_summary(result.cells)),
+        (out_dir / "runs.csv", format_sweep_runs(result.runs)),
+    )
     print(
         f"sweep finished: {len(result.runs)} runs over {len(result.cells)} cells "
         f"in {elapsed:.1f}s with {result.workers} worker(s), wrote {out_dir / 'summary.csv'}"
@@ -481,9 +502,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     out_path = Path(args.out)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(out_path, format_sweep_summary(cells))
+    _out_dir(out_path.parent)
+    _write_text((out_path, format_sweep_summary(cells)))
     print(f"aggregated {len(cells)} cells from {runs_path} into {out_path}")
     return 0
 

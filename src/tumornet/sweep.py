@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import os
 import statistics
-import sys
 from concurrent import futures
 from dataclasses import dataclass
 from operator import attrgetter
@@ -243,9 +242,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = N
     The result is identical for any worker count: runs are independent,
     seeded from the spec alone, and sorted by run_id before aggregation.
     With runs_dir set, each run's full time series lands there as
-    run<id>.csv. A failing run aborts the sweep, naming the run. No more
-    processes start than there are runs; more than os.cpu_count() draws a
-    warning on stderr. The result records the worker count used.
+    run<id>.csv. No more processes start than there are runs or CPUs
+    (os.cpu_count()), and the result records the worker count used. One
+    worker runs the grid in run_id order. A pool gets the runs with the
+    largest n_initial first, in run_id order among equals: graph cost grows
+    with n, so the cheap runs fill the tail and the workers finish together.
+    The first failed run in that order aborts the sweep and is named; it,
+    or an interrupt, cancels the runs not yet started.
     """
     check_bound("workers", workers)
     plans = expand(spec)
@@ -254,23 +257,28 @@ def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = N
         (run_id, run_id // spec.seeds_per_cell, config, dir_arg)
         for config, run_id in plans
     ]
-    workers = min(workers, len(tasks))
-    cpus = os.cpu_count()
-    if cpus is not None and workers > cpus:
-        print(f"warning: {workers} sweep workers on {cpus} CPUs", file=sys.stderr)
+    workers = min(workers, len(tasks), os.cpu_count() or len(tasks))
+    pool = None
     if workers == 1:
-        raw = [_execute(task) for task in tasks]
+        results = map(_execute, tasks)
     else:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_execute, tasks, chunksize=chunk))
+        tasks.sort(key=lambda task: task[2].n_initial, reverse=True)  # stable
+        pool = futures.ProcessPoolExecutor(max_workers=workers)
+        results = pool.map(_execute, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
     outcomes: list[RunOutcome] = []
-    for item in raw:
-        if isinstance(item, tuple):
-            _, run_id, seed, message = item
-            cell_id = run_id // spec.seeds_per_cell
-            raise SweepError(f"run {run_id} (cell {cell_id}, seed {seed}) failed: {message}")
-        outcomes.append(item)
+    try:
+        for item in results:
+            if isinstance(item, tuple):
+                _, run_id, seed, message = item
+                cell_id = run_id // spec.seeds_per_cell
+                raise SweepError(f"run {run_id} (cell {cell_id}, seed {seed}) failed: {message}")
+            outcomes.append(item)
+    except BaseException:
+        if pool is not None:  # cancel the chunks not yet started rather than wait for them
+            pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    if pool is not None:
+        pool.shutdown()
     outcomes.sort(key=lambda o: o.run_id)
     return SweepResult(runs=outcomes, cells=aggregate(outcomes), workers=workers)
 

@@ -291,10 +291,10 @@ class TestAtomicWrite:
 
     def test_failed_write_keeps_the_earlier_file(self, tmp_path):
         path = tmp_path / "run.csv"
-        _write_text(path, "earlier\n")
+        _write_text((path, "earlier\n"))
         # A lone surrogate cannot be encoded, so the write fails part way.
         with pytest.raises(UnicodeEncodeError):
-            _write_text(path, "later\n" * 10_000 + "\ud800")
+            _write_text((path, "later\n" * 10_000 + "\ud800"))
         assert self._left(tmp_path) == {"run.csv": "earlier\n"}
 
     def test_failed_replace_keeps_the_earlier_file(self, tmp_path, monkeypatch):
@@ -308,6 +308,19 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="no space left"):
             write_summary({"seed": 2}, path)
         assert self._left(tmp_path) == {"summary.json": '{"seed": 1}\n'}
+
+    def test_failed_second_write_keeps_both_earlier_files(self, tmp_path):
+        summary, runs = tmp_path / "summary.csv", tmp_path / "runs.csv"
+        _write_text((summary, "earlier summary\n"), (runs, "earlier runs\n"))
+        # The second temp file fails part way, before either rename.
+        with pytest.raises(UnicodeEncodeError):
+            _write_text((summary, "later summary\n"), (runs, "later\n" * 10_000 + "\ud800"))
+        assert self._left(tmp_path) == {
+            "summary.csv": "earlier summary\n",
+            "runs.csv": "earlier runs\n",
+        }
+        _write_text((summary, "later summary\n"), (runs, "later runs\n"))
+        assert self._left(tmp_path) == {"summary.csv": "later summary\n", "runs.csv": "later runs\n"}
 
 
 class TestSweepTables:
@@ -671,6 +684,42 @@ class TestCli:
         assert code == 2
         assert "error: config file is not a file" in err and "Traceback" not in err
 
+    def test_run_out_that_is_a_file(self, tmp_path):
+        config = _write(tmp_path / "run.cfg", CONNECTED_CONFIG)
+        code, _, err = _cli(["run", "--config", config, "--out", config])
+        assert code == 2
+        assert f"error: output directory is not a directory: {config}" in err
+        assert "Traceback" not in err
+
+    def test_sweep_out_that_is_a_file_exits_before_any_run(self, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(sweep, "run_sweep", no_sweep)
+        spec = _write(tmp_path / "grid.cfg", "csc_counts=40\nseeds_per_cell=1\n")
+        code, _, err = _cli(["sweep", "--spec", spec, "--out", spec])
+        assert code == 2
+        assert f"error: output directory is not a directory: {spec}" in err
+
+    def test_analyze_out_that_is_a_directory(self, tmp_path):
+        (tmp_path / "runs.csv").write_text(SWEEP_RUNS_HEADER + "\n" + RUNS_ROW_CELL_0 + "\n")
+        code, _, err = _cli(["analyze", "--runs", str(tmp_path), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: cannot write {tmp_path}: Is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.csv"]
+
+    def test_plot_out_that_is_a_directory(self, tmp_path):
+        (tmp_path / "run.csv").write_text(RUN_CSV_HEADER + "\n0,10,20,10,0,0,0,2.000000\n")
+        chart_dir = tmp_path / "charts"
+        chart_dir.mkdir()
+        code, _, err = _cli([
+            "plot", "--input", str(tmp_path / "run.csv"), "--kind", "timeseries",
+            "--out", str(chart_dir),
+        ])
+        assert code == 2
+        assert f"error: cannot write {chart_dir}: Is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["charts", "run.csv"]
+
     def test_plot_cli(self, tmp_path):
         config = _write(tmp_path / "run.cfg", CONNECTED_CONFIG)
         out_dir = tmp_path / "out"
@@ -689,6 +738,7 @@ class TestCli:
             "csc_counts=40\nseeds_per_cell=2\nbase_seed=5\nmax_steps=5\n",
         )
         monkeypatch.setenv("TUMORNET_WORKERS", "2")
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)  # the count is not capped
         code, out, _ = _cli(["sweep", "--spec", spec, "--out", str(tmp_path / "s")])
         assert code == 0
         assert "2 worker(s)" in out

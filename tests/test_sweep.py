@@ -36,6 +36,31 @@ def _tiny_spec(**kwargs):
     return SweepSpec(**defaults)
 
 
+def _inline_pool(requested=None, seen=None, shutdowns=None):
+    """A ProcessPoolExecutor stand-in that runs tasks lazily in this process.
+
+    It records the worker count asked for, each task as it starts, and the
+    arguments of each shutdown call.
+    """
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            if requested is not None:
+                requested.append(max_workers)
+
+        def map(self, fn, tasks, chunksize=1):
+            for task in tasks:
+                if seen is not None:
+                    seen.append(task)
+                yield fn(task)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            if shutdowns is not None:
+                shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
+
+    return InlinePool
+
+
 class TestSweepSpec:
     def test_cell_and_run_counts(self):
         spec = SweepSpec(
@@ -170,38 +195,59 @@ class TestRunSweep:
 
     def test_workers_clamped_to_run_count(self, monkeypatch, capsys, tmp_path):
         requested = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(sweep.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sweep.futures, "ProcessPoolExecutor", _inline_pool(requested))
         spec = _tiny_spec(csc_counts=(40,), angiogenesis_values=(0.2,), max_steps=2)
-        clamped = run_sweep(spec, workers=5000)
-        assert requested == [3]
-        assert clamped.workers == 3
-        assert "3 sweep workers on 2 CPUs" in capsys.readouterr().err
+        # Three runs: the run count caps 5000 requested workers on 8 CPUs,
+        # the CPU count caps them on 2, and None means no CPU cap.
+        for cpus, expected in ((8, 3), (2, 2), (None, 3)):
+            monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+            assert run_sweep(spec, workers=5000).workers == expected
+        assert requested == [3, 2, 3]
         assert run_sweep(spec, workers=2).workers == 2
-        assert requested == [3, 2]
+        assert requested == [3, 2, 3, 2]
         assert capsys.readouterr().err == ""
-        assert clamped.runs == run_sweep(spec).runs
+        assert run_sweep(spec, workers=3).runs == run_sweep(spec).runs
         # The CLI reports the count the sweep used, not the one requested.
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
         grid = tmp_path / "grid.cfg"
         grid.write_text("csc_counts=40\nseeds_per_cell=2\nmax_steps=2\n")
         monkeypatch.setenv("TUMORNET_WORKERS", "5000")
         assert main(["sweep", "--spec", str(grid), "--out", str(tmp_path / "out")]) == 0
-        assert requested == [3, 2, 2]
+        assert requested[-1] == 2
         assert "with 2 worker(s)" in capsys.readouterr().out
+
+    def test_pool_gets_the_largest_runs_first(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(sweep.futures, "ProcessPoolExecutor", _inline_pool(seen=seen))
+        spec = _tiny_spec(csc_counts=(40, 60, 50), angiogenesis_values=(0.2, 0.8), seeds_per_cell=2)
+        result = run_sweep(spec, workers=2)
+        # Descending n_initial, run_id order among equal sizes.
+        assert [(t[2].n_initial, t[0]) for t in seen] == [
+            (60, 4), (60, 5), (60, 6), (60, 7),
+            (50, 8), (50, 9), (50, 10), (50, 11),
+            (40, 0), (40, 1), (40, 2), (40, 3),
+        ]
+        assert [o.run_id for o in result.runs] == list(range(12))
+        assert result.runs == run_sweep(spec).runs
+
+    def test_pool_stops_at_the_first_failed_run(self, monkeypatch):
+        seen, shutdowns = [], []
+        monkeypatch.setattr(
+            sweep.futures, "ProcessPoolExecutor", _inline_pool(seen=seen, shutdowns=shutdowns)
+        )
+        original = sweep.engine.run
+
+        def failing_run(model, max_steps):
+            if model.config.seed == 100 + 7:
+                raise ValueError("cell exploded")
+            return original(model, max_steps)
+
+        monkeypatch.setattr(sweep.engine, "run", failing_run)
+        # Dispatch order is runs 6..11 (n=60), then 0..5; run 7 is the second.
+        with pytest.raises(SweepError, match=r"run 7 \(cell 2, seed 107\) failed: ValueError: cell exploded"):
+            run_sweep(_tiny_spec(), workers=2)
+        assert [t[0] for t in seen] == [6, 7]
+        assert shutdowns == [{"wait": False, "cancel_futures": True}]
 
     def test_worker_failure_names_the_run(self, tmp_path):
         # An unwritable runs_dir makes the first worker raise.
