@@ -491,6 +491,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"sweep finished: {len(result.runs)} runs over {len(result.cells)} cells "
         f"in {elapsed:.1f}s with {result.workers} worker(s), wrote {out_dir / 'summary.csv'}"
     )
+    # Spawned nodes link to their parent, so a graph disconnected after step 1 started so.
+    n_step1 = sum(o.steps == 1 and o.termination == engine.TERM_DISCONNECTED for o in result.runs)
+    print(
+        f"{n_step1} of {len(result.runs)} runs ended at step 1: the start graph was disconnected",
+        file=sys.stderr,
+    )
     return 0
 
 

@@ -9,8 +9,12 @@ The engine is generic over the model object it drives. A model must expose:
     records        list the engine appends StepRecords to
     schedule_rng   numpy Generator used only for activation order
     live_ids()     ids of live agents in ascending order
-    activate(ids)  apply one step's transitions: every agent in ids acts
-                   once, in the order given; called once per step
+    activate(live, order)
+                   apply one step's transitions: live is the live_ids() list
+                   and order a permutation array of its positions, and the
+                   agents live[k] for k in order act once each, in that
+                   order; called once per step. Passing the two lets a model
+                   skip building the ordered id list when it need not.
     state_counts() (normal, quiescent, metastatic, dead) tallies
 
 Keeping the loop separate from the cell rules means scheduling and
@@ -19,6 +23,7 @@ collection can be tested with stub models.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -30,6 +35,28 @@ TERM_MAX_STEPS = "max_steps"
 TERM_DISCONNECTED = "disconnected"
 TERM_EXTINCT = "extinct"
 
+_WORD_MASK = 0xFFFF_FFFF
+
+
+def _words(n: int) -> list[int]:
+    """n as SeedSequence reads an int: its 32-bit words, least significant
+    first, with no high zero words ([0] for 0)."""
+    if n < 0:
+        raise ValueError(f"seed words need a non-negative int, got {n}")
+    words = [n & _WORD_MASK]
+    n >>= 32
+    while n:
+        words.append(n & _WORD_MASK)
+        n >>= 32
+    return words
+
+
+@functools.lru_cache(maxsize=256)
+def _label_words(label: str) -> tuple[int, ...]:
+    """The words of a label's key: the first 16 bytes of its sha256, big-endian."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    return tuple(_words(int.from_bytes(digest[:16], "big")))
+
 
 class RngStream:
     """A root seed fanned out into independent named substreams.
@@ -38,18 +65,23 @@ class RngStream:
     so (seed, label, counter) reproduces the same generator in every
     process. Distinct labels give independent streams; drawing more from
     one subsystem never shifts another.
+
+    The generator of (seed, label, counter) is the one SeedSequence([seed,
+    counter, key]) seeds, key being the label's hash. SeedSequence joins the
+    32-bit words of those ints, so substream hands it the words directly,
+    with the seed's converted once per stream and each label's once per
+    process.
     """
 
     def __init__(self, seed: int):
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         self.seed = int(seed)
+        self._seed_words = _words(self.seed)
 
     def substream(self, label: str, counter: int = 0) -> np.random.Generator:
-        digest = hashlib.sha256(label.encode("utf-8")).digest()
-        key = int.from_bytes(digest[:16], "big")
-        seq = np.random.SeedSequence([self.seed, int(counter), key])
-        return np.random.default_rng(seq)
+        words = [*self._seed_words, *_words(int(counter)), *_label_words(label)]
+        return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 @dataclass(frozen=True)
@@ -100,12 +132,11 @@ def step(model) -> StepRecord:
     The live set is snapshotted before any activation, so agents spawned
     during the step wait for the next one. The permutation comes from the
     model's "schedule" stream and is the only randomness consumed here; the
-    model gets the whole ordered list in one activate() call.
+    model gets the live list and the permutation in one activate() call.
     """
     live = model.live_ids()
     if live:
-        order = model.schedule_rng.permutation(len(live))
-        model.activate([live[k] for k in order.tolist()])
+        model.activate(live, model.schedule_rng.permutation(len(live)))
     model.step_count += 1
     record = collect(model)
     model.records.append(record)

@@ -291,10 +291,11 @@ def aggregate(runs: list[RunOutcome]) -> list[CellAggregate]:
     """Per-cell mean/std table in canonical cell order.
 
     Cells must be numbered contiguously from 0 and carry the same number of
-    runs each, and the runs of one cell must agree on n_initial, K and the
-    three factors. Anything else means runs are missing or edited, and
-    partial statistics would silently change their meaning, so it raises
-    ValueError.
+    runs each, the run ids must be 0..N-1, each once, with run i in cell
+    i // runs per cell, as expand numbers them, and the runs of one cell
+    must agree on n_initial, K and the three factors. Anything else means
+    runs are missing, duplicated or edited, and partial statistics would
+    silently change their meaning, so it raises ValueError.
     """
     by_cell: dict[int, list[RunOutcome]] = {}
     for outcome in runs:
@@ -304,6 +305,15 @@ def aggregate(runs: list[RunOutcome]) -> list[CellAggregate]:
     sizes = {len(v) for v in by_cell.values()}
     if len(sizes) != 1:
         raise ValueError(f"cells have unequal run counts {sorted(sizes)}; runs are missing")
+    if sorted(o.run_id for o in runs) != list(range(len(runs))):
+        raise ValueError("run ids are not 0..N-1, each once; runs are duplicated or missing")
+    per_cell = sizes.pop()
+    for o in runs:
+        if o.cell_id != o.run_id // per_cell:
+            raise ValueError(
+                f"run {o.run_id} is in cell {o.cell_id}, not {o.run_id // per_cell}; "
+                "runs are missing or edited"
+            )
 
     def _std(values: list[float]) -> float:
         # Sample standard deviation; a single seed has no spread by convention.

@@ -5,7 +5,9 @@ state code per node (NORMAL, QUIESCENT, METASTATIC or DEAD) plus a count of
 cells per code. Three control factors in [0, 1] steer the dynamics:
 angiogenesis feeds metastasis and growth, recovery clears metastatic cells
 and wakes quiescent ones, quiescence pushes normal cells dormant when
-angiogenesis is low. agent_step applies one whole step of transitions.
+angiogenesis is low. agent_step applies one whole step of transitions: as
+array operations when every node holds a normal cell and acts, as at
+step 1, and cell by cell otherwise.
 
 BOUNDS is the one home of every numeric config bound. ModelConfig,
 ControlFactors and sweep.SweepSpec check their fields against it when they
@@ -16,6 +18,8 @@ cli_io hold no bound of their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import graph_core
 from .engine import RngStream, StepRecord
@@ -193,8 +197,13 @@ class Model:
     def state_counts(self) -> tuple[int, int, int, int]:
         return tuple(self.counts)
 
-    def activate(self, ids: list[int]) -> None:
-        agent_step(self, ids)
+    def activate(self, live: list[int], order: np.ndarray) -> None:
+        """Act the cells live[k] for k in order, once each, in that order."""
+        if self.counts[NORMAL] == len(self.state) == len(live):
+            # Every node holds a live cell, so live is range(n) and order the ids.
+            agent_step(self, order)
+        else:
+            agent_step(self, [live[k] for k in order.tolist()])
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -222,11 +231,12 @@ def init_model(config: ModelConfig) -> Model:
     return Model(config, graph, rng)
 
 
-def agent_step(model: Model, ids: list[int]) -> None:
+def agent_step(model: Model, ids: list[int] | np.ndarray) -> None:
     """Apply one step's transitions to the live cells ids, in that order.
 
-    Every activation consumes exactly one uniform, whatever the outcome, and
-    all of them are drawn in one call up front, so the transition stream
+    ids holds distinct cell ids, as a list or an int array. Every
+    activation consumes exactly one uniform, whatever the outcome, and all
+    of them are drawn in one call up front, so the transition stream
     layout depends only on the activation sequence. The rules, by state:
 
       metastatic: cleared with probability recovery; otherwise spawns a new
@@ -239,7 +249,15 @@ def agent_step(model: Model, ids: list[int]) -> None:
 
     A cell's degree is read when it acts: cells spawned earlier in the step
     may have linked to it. Raises ValueError at the first dead cell in ids.
+
+    When every node holds a normal cell and acts, no cell can spawn and
+    every degree is the one at step start, so the step is taken as array
+    operations: the same uniforms and float expressions give the same
+    states as the cell-by-cell loop, which takes every other step.
     """
+    if model.counts[NORMAL] == len(model.state) == len(ids):
+        _all_normal_step(model, ids)
+        return
     cfg = model.config
     f = cfg.factors
     state = model.state
@@ -283,6 +301,23 @@ def agent_step(model: Model, ids: list[int]) -> None:
         state[i] = new
         counts[s] -= 1
         counts[new] += 1
+
+
+def _all_normal_step(model: Model, ids: list[int] | np.ndarray) -> None:
+    """agent_step when ids orders every node and every node holds a normal cell."""
+    cfg = model.config
+    f = cfg.factors
+    n = len(ids)
+    u = np.empty(n)
+    u[ids] = model._trans_rng.random(n)  # u[i]: the uniform cell i acts on
+    degrees = np.fromiter(model.graph._deg, np.intp, n)
+    q_eff = f.quiescence * (1.0 - f.angiogenesis)
+    m_eff = np.minimum(1.0, f.angiogenesis * cfg.metastasis_rate * degrees / cfg.K)
+    t2 = q_eff + (1.0 - q_eff) * m_eff
+    t3 = t2 + (1.0 - q_eff) * (1.0 - m_eff) * cfg.apoptosis_rate
+    new = np.where(u < q_eff, QUIESCENT, np.where(u < t2, METASTATIC, np.where(u < t3, DEAD, NORMAL)))
+    model.state[:] = new.tolist()
+    model.counts[:] = np.bincount(new, minlength=4).tolist()
 
 
 def spawn_cell(model: Model, parent: int) -> int:

@@ -55,9 +55,9 @@ class ReferenceModel:
     def state_counts(self) -> tuple[int, int, int, int]:
         return tuple(self._counts[s] for s in CellState)
 
-    def activate(self, ids: list[int]) -> None:
-        for agent_id in ids:
-            agent_step(self.agents[agent_id], self)
+    def activate(self, live: list[int], order) -> None:
+        for k in order.tolist():
+            agent_step(self.agents[live[k]], self)
 
     def set_state(self, agent: CellAgent, new_state: CellState) -> None:
         self._counts[agent.state] -= 1

@@ -600,6 +600,20 @@ class TestCli:
         assert code == 0
         assert redone.read_bytes() == summary_bytes
 
+    def test_sweep_reports_step1_runs_on_stderr(self, tmp_path):
+        # At n=300 the derived density starts disconnected; at n=40 it does not.
+        spec = _write(
+            tmp_path / "grid.cfg",
+            "csc_counts=40,300\nangiogenesis_values=0.2,0.8\nseeds_per_cell=3\n"
+            "base_seed=100\nmax_steps=20\n",
+        )
+        code, out, err = _cli(["sweep", "--spec", spec, "--out", str(tmp_path / "s")])
+        assert code == 0
+        assert out.startswith("sweep finished: 12 runs over 4 cells in ") and out.count("\n") == 1
+        rows = read_sweep_runs(tmp_path / "s" / "runs.csv")
+        assert sum(r.steps == 1 and r.termination == "disconnected" for r in rows) == 6
+        assert err == "6 of 12 runs ended at step 1: the start graph was disconnected\n"
+
     def test_sweep_keep_runs(self, tmp_path):
         spec = _write(
             tmp_path / "grid.cfg",
@@ -663,6 +677,18 @@ class TestCli:
         edited = "1" + RUNS_ROW_CELL_0[1:].replace(",40,", ",360,", 1)
         err = self._analyze_rows(tmp_path, [RUNS_ROW_CELL_0, edited])
         assert "error: runs of cell 0 disagree" in err
+
+    def test_analyze_duplicated_or_misplaced_run(self, tmp_path):
+        # Run 1's row replaced by a copy of run 0; then four runs in two
+        # cells with runs 1 and 2 swapped between the cells.
+        err = self._analyze_rows(tmp_path, [RUNS_ROW_CELL_0, RUNS_ROW_CELL_0])
+        assert "error: run ids are not 0..N-1, each once" in err
+
+        def row(run_id, cell_id):
+            return f"{run_id},{cell_id}" + RUNS_ROW_CELL_0[3:]
+
+        err = self._analyze_rows(tmp_path, [row(0, 0), row(1, 1), row(2, 0), row(3, 1)])
+        assert "error: run 1 is in cell 1, not 0" in err and "Traceback" not in err
 
     def test_analyze_counts_must_sum_to_positive_n_nodes(self, tmp_path):
         # All counts edited to 0 (aggregate would divide by n_nodes), and one

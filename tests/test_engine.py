@@ -1,7 +1,11 @@
 """Run loop, scheduling, and rng stream behavior, tested with stub models."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tumornet import graph_core
 from tumornet.engine import (
@@ -11,6 +15,7 @@ from tumornet.engine import (
     RngStream,
     StepRecord,
     TimeSeries,
+    _words,
     collect,
     run,
     step,
@@ -37,9 +42,9 @@ class StubModel:
     def live_ids(self):
         return sorted(i for i, ok in self.alive.items() if ok)
 
-    def activate(self, ids):
+    def activate(self, live, order):
         self.activate_calls += 1
-        for agent_id in ids:
+        for agent_id in [live[k] for k in order.tolist()]:
             self.activation_log.append((self.step_count, agent_id))
             if self.on_activate is not None:
                 self.on_activate(self, agent_id)
@@ -80,6 +85,45 @@ class TestRngStream:
         a = RngStream(5).substream("graph").random(8)
         b = RngStream(6).substream("graph").random(8)
         assert not np.array_equal(a, b)
+
+
+def reference_substream(seed, label, counter=0):
+    """RngStream.substream as first written: SeedSequence over the three ints."""
+    key = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:16], "big")
+    return np.random.default_rng(np.random.SeedSequence([seed, counter, key]))
+
+
+# Ints at the 32-bit word boundaries, where SeedSequence's word count changes.
+_EDGE_INTS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**70)
+_LABELS = st.sampled_from(["graph", "graph-skip", "schedule", "transitions", "growth"]) | st.text()
+
+
+class TestSubstreamSeeding:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_EDGE_INTS, label=_LABELS, counter=_EDGE_INTS)
+    def test_matches_the_seed_sequence_of_the_ints(self, seed, label, counter):
+        got = RngStream(seed).substream(label, counter)
+        want = reference_substream(seed, label, counter)
+        assert got.bit_generator.state == want.bit_generator.state
+
+    def test_words_drop_zero_high_words(self):
+        assert _words(0) == [0]
+        assert _words(5) == [5]
+        assert _words(2**32 - 1) == [2**32 - 1]
+        assert _words(2**32) == [0, 1]
+        assert _words(7 << 64) == [0, 0, 7]
+        assert _words(2**64 - 1) == [2**32 - 1, 2**32 - 1]
+
+    @given(st.integers(0, 2**200))
+    def test_words_rebuild_the_int(self, n):
+        words = _words(n)
+        assert sum(w << (32 * i) for i, w in enumerate(words)) == n
+        assert all(0 <= w < 2**32 for w in words)
+        assert words[-1] != 0 or words == [0]
+
+    def test_negative_counter_rejected(self):
+        with pytest.raises(ValueError):
+            RngStream(0).substream("graph", counter=-1)
 
 
 class TestStepRecord:

@@ -4,12 +4,14 @@ import copy
 import statistics
 from collections import Counter
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from reference_model import ReferenceModel
+from tumornet import tumor_model
 from tumornet.engine import run, step
 from tumornet.graph_core import connectivity_threshold
 from tumornet.tumor_model import (
@@ -198,6 +200,25 @@ class TestModelBookkeeping:
         assert m.state[5:7] == [DEAD, NORMAL]
         assert m.state_counts() == _tally(m) == (27, 2, 0, 1)
 
+    def test_array_step_only_when_every_node_acts_normal(self, monkeypatch):
+        calls = []
+        array_step = tumor_model._all_normal_step
+
+        def counting(model, ids):
+            calls.append(len(ids))
+            array_step(model, ids)
+
+        monkeypatch.setattr(tumor_model, "_all_normal_step", counting)
+        m = _model()
+        agent_step(m, list(range(29)))  # every cell normal, one node idle
+        assert calls == []
+        m = _model()
+        step(m)  # step 1: all 30 normal cells act
+        assert calls == [30]
+        assert m.state_counts() != (30, 0, 0, 0)
+        step(m)
+        assert calls == [30]
+
     def test_register_spawned_agent(self):
         m = _model()
         child = spawn_cell(m, 0)
@@ -333,31 +354,54 @@ class TestSpawning:
         assert m.graph.n_nodes == 30
 
 
+# Random run configs: TestMatchesReference's strategy, shared by TestRunProperties.
+RUNS = dict(
+    n=st.integers(20, 300),
+    K=st.integers(3, 8),
+    density=st.floats(0.5, 3.0),
+    factors=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    rates=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 50),
+)
+
+
+def _run_config(n, K, density, factors, rates, seed):
+    return ModelConfig(
+        n_initial=n,
+        K=K,
+        p=min(1.0, density * connectivity_threshold(n)),
+        factors=ControlFactors(*factors),
+        spawn_rate=rates[0],
+        metastasis_rate=rates[1],
+        apoptosis_rate=rates[2],
+        seed=seed,
+        allow_below_threshold=True,
+    )
+
+
+def _stepped(steps, **strategy_values):
+    """Step a fresh model of one RUNS config, yielding it after each step."""
+    m = init_model(_run_config(**strategy_values))
+    for _ in range(steps):
+        step(m)
+        yield m
+        # Growth can be exponential; the run has made its point.
+        if m.graph.n_nodes > 3000 or not m.live_ids():
+            break
+
+
 class TestMatchesReference:
     """The flat model against the per-object reference in reference_model."""
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        n=st.integers(20, 300),
-        K=st.integers(3, 8),
-        density=st.floats(0.5, 3.0),
-        factors=st.tuples(*[st.floats(0.0, 1.0)] * 3),
-        rates=st.tuples(*[st.floats(0.0, 1.0)] * 3),
-        seed=st.integers(0, 2**32 - 1),
-        steps=st.integers(1, 50),
-    )
+    @given(**RUNS)
+    # fig4's n=360 cell at angiogenesis 0.4 with its derived density 4/359,
+    # which the product rounds back to: an all-normal, disconnected start.
+    @example(n=360, K=4, density=(4 / 359) / connectivity_threshold(360),
+             factors=(0.4, 0.3, 0.5), rates=(0.25, 0.5, 0.01), seed=402, steps=50)
     def test_same_records_every_step(self, n, K, density, factors, rates, seed, steps):
-        config = ModelConfig(
-            n_initial=n,
-            K=K,
-            p=min(1.0, density * connectivity_threshold(n)),
-            factors=ControlFactors(*factors),
-            spawn_rate=rates[0],
-            metastasis_rate=rates[1],
-            apoptosis_rate=rates[2],
-            seed=seed,
-            allow_below_threshold=True,
-        )
+        config = _run_config(n, K, density, factors, rates, seed)
         flat, ref = init_model(config), ReferenceModel(config)
         for _ in range(steps):
             assert step(flat) == step(ref)
@@ -369,33 +413,49 @@ class TestMatchesReference:
 
 
 class TestRunProperties:
-    def test_counts_partition_population(self):
-        m = _model(n_initial=60, p=0.12, seed=3)
-        for _ in range(40):
-            record = step(m)
+    """Invariants over TestMatchesReference's configs; step 1 of each run is
+    the all-normal array step, every later one the cell-by-cell loop."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(**RUNS)
+    def test_counts_partition_population(self, **run):
+        for m in _stepped(**run):
+            record = m.records[-1]
+            assert m.state_counts() == _tally(m)
             total = (record.count_normal + record.count_quiescent
                      + record.count_metastatic + record.count_dead)
             assert total == record.n_nodes == len(m.state)
 
-    def test_dead_is_absorbing(self):
-        m = _model(n_initial=60, p=0.12, seed=4, apoptosis_rate=0.2)
+    @settings(max_examples=50, deadline=None)
+    @given(**RUNS)
+    def test_dead_is_absorbing(self, **run):
         dead_seen = set()
-        for _ in range(40):
-            step(m)
+        for m in _stepped(**run):
             for agent_id in dead_seen:
                 assert m.state[agent_id] == DEAD
             dead_seen.update(i for i, s in enumerate(m.state) if s == DEAD)
-        assert dead_seen  # the config must actually kill something
 
-    def test_node_count_non_decreasing(self):
-        m = _model(n_initial=60, p=0.12, seed=5,
-                   factors=ControlFactors(0.9, 0.1, 0.5), spawn_rate=0.5)
-        prev = m.graph.n_nodes
-        for _ in range(40):
-            record = step(m)
-            assert record.n_nodes >= prev
-            prev = record.n_nodes
-        assert prev > 60  # growth must actually occur under these settings
+    @settings(max_examples=50, deadline=None)
+    @given(**RUNS)
+    def test_node_count_non_decreasing(self, **run):
+        prev = run["n"]
+        for m in _stepped(**run):
+            assert m.records[-1].n_nodes == m.graph.n_nodes >= prev
+            prev = m.graph.n_nodes
+
+    @settings(max_examples=30, deadline=None)
+    @given(**RUNS)
+    def test_connected_stays_connected(self, **run):
+        # Every spawned node links to its parent, so a connected graph stays
+        # so; networkx is the oracle for the degrees and the connectivity.
+        seen_connected = False
+        for m in _stepped(**run):
+            g = nx.Graph(m.graph.edges())
+            g.add_nodes_from(range(m.graph.n_nodes))
+            assert [d for _, d in sorted(g.degree())] == [m.graph.degree(i) for i in range(len(g))]
+            connected = nx.is_connected(g)
+            assert connected or not seen_connected
+            seen_connected = connected
 
     def test_zero_angiogenesis_freezes_nodes_and_metastatic(self):
         for seed in range(5):
