@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -60,6 +61,9 @@ _run_row = attrgetter(*_RUN_COLUMNS)
 _RUN_COLUMN_TYPES = itemgetter(*_RUN_COLUMNS)(get_type_hints(RunOutcome))
 _TERMINATIONS = frozenset((engine.TERM_MAX_STEPS, engine.TERM_DISCONNECTED, engine.TERM_EXTINCT))
 _TCI_VALUES = frozenset(["", *(c.value for c in TciClass)])
+# The runs.csv columns that echo the run's configuration, each checked
+# against the tumor_model.BOUNDS entry of the same name.
+_CONFIG_COLUMNS = ("n_initial", "K", "angiogenesis", "recovery", "quiescence", "seed")
 
 
 def _read_text(path: str | Path, what: str) -> str:
@@ -289,8 +293,11 @@ def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
     """Parse a runs table written by format_sweep_runs back into its records.
 
     A row must have every column, parse with the field types, name a
-    known termination reason and tci class ("" for undefined), and have
-    four cell counts that sum to a positive n_nodes.
+    known termination reason and tci class ("" for undefined), keep its
+    configuration columns within tumor_model.BOUNDS, have four cell counts
+    and an edge count that are not negative, with the cell counts summing
+    to a positive n_nodes, and have the volume_ratio a sweep computes from
+    its counts, exactly (str() of a float round-trips).
     """
     text = _read_text(path, "runs table")
     reader = csv.reader(io.StringIO(text))
@@ -309,8 +316,19 @@ def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
             raise InputError(f"unknown termination {run.termination!r} in {path}: {row!r}")
         if run.tci not in _TCI_VALUES:
             raise InputError(f"unknown tci {run.tci!r} in {path}: {row!r}")
-        if not 0 < run.n_nodes == run.normal + run.quiescent + run.metastatic + run.dead:
+        for column in _CONFIG_COLUMNS:
+            try:
+                tumor_model.check_bound(column, getattr(run, column))
+            except ConfigError as exc:
+                raise InputError(f"{exc} in {path}: {row!r}") from None
+        counts = (run.normal, run.quiescent, run.metastatic, run.dead)
+        if min(*counts, run.n_edges) < 0:
+            raise InputError(f"negative count in {path}: {row!r}")
+        if not 0 < run.n_nodes == sum(counts):
             raise InputError(f"cell counts do not sum to a positive n_nodes in {path}: {row!r}")
+        # The ratio as metrics.volume_ratio computes it from the final graph.
+        if run.volume_ratio != run.n_edges / run.n_nodes:
+            raise InputError(f"volume_ratio is not n_edges / n_nodes in {path}: {row!r}")
         runs.append(run)
     if not runs:
         raise InputError(f"no data rows in {path}")
@@ -393,30 +411,42 @@ def _read_csv_rows(path: str | Path, expected_header: str) -> list[dict]:
     return rows
 
 
+def _finite(text: str) -> float:
+    """A CSV cell as a finite float; ValueError for anything else."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def plot_svg(input_path: str | Path, kind: str, out_path: str | Path) -> None:
-    """Render a run time series or a sweep summary as a deterministic SVG."""
+    """Render a run time series or a sweep summary as a deterministic SVG.
+
+    Every plotted cell must be a finite number; a nan or inf would put
+    "nan" coordinates into the SVG.
+    """
     if kind == "timeseries":
         rows = _read_csv_rows(input_path, RUN_CSV_HEADER)
         try:
-            steps = [float(r["step"]) for r in rows]
+            steps = [_finite(r["step"]) for r in rows]
             series = [
-                (col, [(steps[i], float(rows[i][col])) for i in range(len(rows))])
+                (col, [(steps[i], _finite(rows[i][col])) for i in range(len(rows))])
                 for col in ("normal", "quiescent", "metastatic", "dead")
             ]
         except (TypeError, ValueError):
-            raise InputError(f"{input_path}: non-numeric data row") from None
+            raise InputError(f"{input_path}: non-numeric or non-finite data row") from None
         svg = _render_chart("step", "count", series)
     elif kind == "sweep":
         rows = _read_csv_rows(input_path, SWEEP_SUMMARY_HEADER)
         groups: dict[tuple, list[tuple[float, float]]] = {}
         try:
             for r in rows:
-                key = (int(r["n_initial"]), int(r["K"]), float(r["recovery"]), float(r["quiescence"]))
+                key = (int(r["n_initial"]), int(r["K"]), _finite(r["recovery"]), _finite(r["quiescence"]))
                 groups.setdefault(key, []).append(
-                    (float(r["angiogenesis"]), float(r["mean_metastatic_count"]))
+                    (_finite(r["angiogenesis"]), _finite(r["mean_metastatic_count"]))
                 )
         except (TypeError, ValueError):
-            raise InputError(f"{input_path}: non-numeric data row") from None
+            raise InputError(f"{input_path}: non-numeric or non-finite data row") from None
         multi = len({k[1:] for k in groups}) > 1
         series = []
         for key in sorted(groups):

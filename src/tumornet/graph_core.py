@@ -1,9 +1,11 @@
 """Erdos-Renyi graph construction and queries.
 
-A Graph holds no container per node. It keeps one int degree per node, one
-byte per node that says whether the node has a neighbor with a smaller id,
-and its edges as two endpoint arrays (smaller id first): the ones a
-generator drew, followed by the ones added later. Neighbor queries and the
+A Graph holds no container per node. It keeps the degrees in one int64
+array, one byte per node that says whether the node has a neighbor with a
+smaller id, and its edges as two endpoint arrays (smaller id first): the
+ones a generator drew, followed by the ones added later. The degree array
+has room beyond the last node and doubles when an appended node fills it;
+Graph.degrees is the length-n_nodes view of it. Neighbor queries and the
 connectivity search read a compressed adjacency (CSR) that is built from
 those arrays on demand and dropped at the next change.
 
@@ -18,7 +20,6 @@ connected, which is what lets linked_since check only the newest nodes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -42,6 +43,19 @@ _REJECTION_POOL_MIN = 4096
 _NO_NODES = np.empty(0, dtype=np.intp)
 
 
+def with_room(buf: np.ndarray, size: int) -> np.ndarray:
+    """buf if it holds size items, else a copy of it twice as long or more.
+
+    The added tail is zero, so a slot past the used length reads as 0 until
+    it is written.
+    """
+    if size <= len(buf):
+        return buf
+    grown = np.zeros(max(size, 2 * len(buf)), dtype=buf.dtype)
+    grown[: len(buf)] = buf
+    return grown
+
+
 class Graph:
     """Simple undirected graph with nodes numbered 0..n_nodes-1.
 
@@ -51,12 +65,14 @@ class Graph:
     is no API for either removal.
     """
 
-    __slots__ = ("_deg", "_low", "_ends", "_lo", "_hi", "_keys", "_csr")
+    __slots__ = ("_n", "_deg", "_low", "_ends", "_lo", "_hi", "_keys", "_csr")
 
     def __init__(self, n_nodes: int = 0):
         if n_nodes < 0:
             raise ValueError(f"node count must be non-negative, got {n_nodes}")
-        self._deg: list[int] = [0] * n_nodes
+        self._n = n_nodes
+        # _deg[i] is the degree of node i < _n; the slots past _n are 0.
+        self._deg = np.zeros(n_nodes, dtype=np.int64)
         # _low[i] is 1 once node i has a neighbor with a smaller id.
         self._low = bytearray(n_nodes)
         # Edge k is (lo, hi) with lo < hi: first the arrays in _ends, then the
@@ -71,7 +87,12 @@ class Graph:
 
     @property
     def n_nodes(self) -> int:
-        return len(self._deg)
+        return self._n
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Degree of every node, by id: a view that the next append may detach."""
+        return self._deg[: self._n]
 
     @property
     def n_edges(self) -> int:
@@ -79,10 +100,12 @@ class Graph:
 
     def add_node(self) -> NodeId:
         """Append an isolated node and return its id."""
-        self._deg.append(0)
+        new = self._n
+        self._deg = with_room(self._deg, new + 1)
+        self._n = new + 1
         self._low.append(0)
         self._csr = None
-        return len(self._deg) - 1
+        return new
 
     def add_edge(self, i: NodeId, j: NodeId) -> None:
         self._check_node(i)
@@ -116,7 +139,7 @@ class Graph:
 
     def degree(self, i: NodeId) -> int:
         self._check_node(i)
-        return self._deg[i]
+        return int(self._deg[i])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (i, j) with i < j, in ascending lexicographic order."""
@@ -125,16 +148,17 @@ class Graph:
         yield from zip(lo[order].tolist(), hi[order].tolist())
 
     def _check_node(self, i: int) -> None:
-        if not 0 <= i < len(self._deg):
+        if not 0 <= i < self._n:
             raise ValueError(f"node {i} does not exist")
 
     def _link_new_node(self, nbrs: list[int]) -> NodeId:
         """Append a node adjacent to nbrs: distinct existing nodes, at least one."""
-        deg = self._deg
-        new = len(deg)
+        new = self._n
+        deg = self._deg = with_room(self._deg, new + 1)
         for c in nbrs:
             deg[c] += 1
-        deg.append(len(nbrs))
+        deg[new] = len(nbrs)
+        self._n = new + 1
         self._low.append(1)
         self._lo.extend(nbrs)
         self._hi.extend([new] * len(nbrs))
@@ -166,14 +190,16 @@ class Graph:
             lo, hi = self._endpoints()
             order = np.argsort(np.concatenate((lo, hi)))
             nbrs = np.concatenate((hi, lo))[order].tolist()
-            self._csr = (list(itertools.accumulate(self._deg, initial=0)), nbrs)
+            ptr = np.zeros(self._n + 1, dtype=np.int64)
+            np.cumsum(self.degrees, out=ptr[1:])
+            self._csr = (ptr.tolist(), nbrs)
         return self._csr
 
     def __eq__(self, other: object):
         if not isinstance(other, Graph):
             return NotImplemented
         # Equal degrees give equal node and edge counts; then compare edge sets.
-        return self._deg == other._deg and np.array_equal(
+        return np.array_equal(self.degrees, other.degrees) and np.array_equal(
             np.sort(_key(*self._endpoints())), np.sort(_key(*other._endpoints()))
         )
 
@@ -189,7 +215,8 @@ def _key(lo, hi):
 def _graph_from_edges(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph:
     """A Graph on n nodes whose edges are the distinct pairs (lo[k], hi[k]), lo < hi."""
     g = Graph()
-    g._deg = (np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)).tolist()
+    g._n = n
+    g._deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     low = np.zeros(n, dtype=np.uint8)
     low[hi] = 1
     g._low = bytearray(low)
@@ -260,6 +287,16 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
 def generate_er_skip(n: int, p: float, rng: np.random.Generator) -> Graph:
     """Sample G(n, p) by drawing geometric gaps between accepted edges.
 
+    Pairs (w, v) with w < v are ranked in lower-triangle order, flat index
+    v*(v-1)/2 + w, and each uniform u moves past int(log1p(-u) / log1p(-p))
+    rejected pairs to the next accepted one. The uniforms are drawn a block
+    at a time; random(a) then random(b) gives the same doubles as
+    random(a + b), so the graph does not depend on the block sizes.
+    log1p is math.log1p, one element at a time, because np.log1p can differ
+    from it in the last bit. A gap is capped at the pair count, which ends
+    the sampling just the same, before it is cast to int64: at p near 1e-23
+    the gap overflows int64, and at subnormal p the ratio is inf.
+
     Matches generate_er in distribution but not draw-for-draw, so it must
     be fed its own dedicated rng stream. Runs in O(n + m) time, which is
     what makes populations in the hundreds of thousands practical.
@@ -272,19 +309,26 @@ def generate_er_skip(n: int, p: float, rng: np.random.Generator) -> Graph:
         lo, hi = np.triu_indices(n, 1)
         return _graph_from_edges(n, lo, hi)
     lp = math.log1p(-p)
-    los: list[int] = []
-    his: list[int] = []
-    v, w = 1, -1
-    while v < n:
-        u = rng.random()
-        w = w + 1 + int(math.log1p(-u) / lp)
-        while w >= v and v < n:
-            w -= v
-            v += 1
-        if v < n:
-            los.append(w)
-            his.append(v)
-    return _graph_from_edges(n, np.array(los, dtype=np.intp), np.array(his, dtype=np.intp))
+    total = n * (n - 1) // 2
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (rows - 1) // 2  # flat index of pair (0, v)
+    hits = [_NO_NODES]
+    last = -1  # flat index of the last accepted pair
+    while True:
+        # About one uniform per edge still to come, and one to step past the end.
+        size = int(min(_ER_BLOCK, p * (total - 1 - last) + 16))
+        logs = np.fromiter(map(math.log1p, (-rng.random(size)).tolist()), float, size)
+        with np.errstate(over="ignore"):
+            gaps = np.minimum(logs / lp, total).astype(np.int64)
+        pos = last + np.cumsum(gaps + 1)
+        end = np.searchsorted(pos, total)
+        hits.append(pos[:end])
+        if end < size:
+            break
+        last = int(pos[-1])
+    flat = np.concatenate(hits)
+    hi = np.searchsorted(starts, flat, side="right") - 1
+    return _graph_from_edges(n, flat - starts[hi], hi)
 
 
 def connectivity_threshold(n: int) -> float:
@@ -300,7 +344,7 @@ def is_connected(g: Graph) -> bool:
         raise ValueError("connectivity is undefined for an empty graph")
     # With more than one node, a node without neighbors is either node 0 or
     # unreachable from it, so the search can be skipped.
-    if n > 1 and not all(g._deg):
+    if n > 1 and not g.degrees.all():
         return False
     ptr, nbrs = g._adjacency()
     seen = bytearray(n)
@@ -332,7 +376,7 @@ def linked_since(g: Graph, n_known: int) -> bool:
 
 def degree_sequence(g: Graph) -> DegreeSequence:
     """Degrees in ascending node-id order; .edge_count recovers m."""
-    return DegreeSequence(list(g._deg))
+    return DegreeSequence(g.degrees.tolist())
 
 
 def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Generator) -> NodeId:

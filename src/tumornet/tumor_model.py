@@ -1,13 +1,14 @@
 """Cells, control factors, and stochastic transitions on a growing graph.
 
-Each graph node carries exactly one cell, and the model keeps one small-int
-state code per node (NORMAL, QUIESCENT, METASTATIC or DEAD) plus a count of
-cells per code. Three control factors in [0, 1] steer the dynamics:
-angiogenesis feeds metastasis and growth, recovery clears metastatic cells
-and wakes quiescent ones, quiescence pushes normal cells dormant when
-angiogenesis is low. agent_step applies one whole step of transitions: as
-array operations when every node holds a normal cell and acts, as at
-step 1, and cell by cell otherwise.
+Each graph node carries exactly one cell. The model keeps the state codes
+(NORMAL, QUIESCENT, METASTATIC or DEAD) in one int8 array indexed by node,
+which grows with the graph's degree array as spawned nodes are appended,
+plus a count of cells per code. Three control factors in [0, 1] steer the
+dynamics: angiogenesis feeds metastasis and growth, recovery clears
+metastatic cells and wakes quiescent ones, quiescence pushes normal cells
+dormant when angiogenesis is low. agent_step applies one whole step of
+transitions: as array operations when at least _ARRAY_MIN cells act, and
+cell by cell otherwise, both against one table of thresholds by degree.
 
 BOUNDS is the one home of every numeric config bound. ModelConfig,
 ControlFactors and sweep.SweepSpec check their fields against it when they
@@ -17,6 +18,7 @@ cli_io hold no bound of their own.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,51 +161,90 @@ class ModelConfig:
         return min(1.0, self.K / (self.n_initial - 1))
 
 
+# Steps in which at least this many cells act are taken as array operations,
+# smaller ones cell by cell: the array step pays about 20 numpy calls a step,
+# the loop about 0.3 us a cell. Timed on spawn-free steps on a 2-core 2.1 GHz
+# Xeon VM (Python 3.11, numpy 2.4), the loop against the arrays took 19 us
+# against 39 us at 56 cells, 38 against 42 at 164, 69 against 65 at 201 and
+# 119 against 48 at 363; steps with spawns cross over at about the same size.
+_ARRAY_MIN = 200
+
+# The state a quiescent or metastatic cell takes when it recovers, by code.
+_RECOVERED = np.array([NORMAL, NORMAL, DEAD, DEAD], dtype=np.int8)
+
+
 class Model:
     """Mutable simulation state, driven by the engine's step loop.
 
-    state[i] is the state code of the cell on node i; counts[c] is the
-    number of cells holding code c.
+    state[i] is the state code of the cell on node i, an int8 array view of
+    length graph.n_nodes; counts[c] is the number of cells holding code c.
     """
 
     def __init__(self, config: ModelConfig, graph: Graph, rng: RngStream):
         n = graph.n_nodes
         self.config = config
         self.graph = graph
-        self.state = [NORMAL] * n
+        # _state[i] is the code of node i's cell for i < n_nodes. It has room
+        # for appended nodes; the slots past n_nodes are 0, NORMAL.
+        self._state = np.zeros(n, dtype=np.int8)
         self.counts = [n, 0, 0, 0]
         self.step_count = 0
         self.records: list[StepRecord] = []
         self.schedule_rng = rng.substream("schedule")
         self._trans_rng = rng.substream("transitions")
         self._growth_rng = rng.substream("growth")
-        # live_ids() as of its last call, with the node and dead counts then.
-        self._live = list(range(n))
-        self._n_listed = n
-        self._n_dead = 0
+        f = config.factors
+        self._spawn_below = f.recovery + (1.0 - f.recovery) * f.angiogenesis * config.spawn_rate
+        self._q_eff = f.quiescence * (1.0 - f.angiogenesis)
+        # The thresholds of a normal cell by degree, from _threshold_table:
+        # the (t2, t3) rows, and the same floats as the arrays t2 and t3.
+        self._rows: tuple[tuple[float, float], ...] = ()
+        self._t2 = self._t3 = np.empty(0)
 
-    def live_ids(self) -> list[int]:
-        """Ids of live cells, ascending: the previous list minus the cells that
-        died since, plus the ids appended since (dead is absorbing)."""
-        if self.counts[DEAD] != self._n_dead:
-            state = self.state
-            self._live = [i for i in self._live if state[i] != DEAD]
-            self._n_dead = self.counts[DEAD]
-        n = len(self.state)
-        self._live.extend(range(self._n_listed, n))
-        self._n_listed = n
-        return list(self._live)
+    @property
+    def state(self) -> np.ndarray:
+        return self._state[: self.graph.n_nodes]
+
+    def live_ids(self) -> np.ndarray:
+        """Ids of live cells, ascending, as an int array."""
+        return (self._state[: self.graph.n_nodes] != DEAD).nonzero()[0]
 
     def state_counts(self) -> tuple[int, int, int, int]:
         return tuple(self.counts)
 
-    def activate(self, live: list[int], order: np.ndarray) -> None:
+    def activate(self, live: np.ndarray, order: np.ndarray) -> None:
         """Act the cells live[k] for k in order, once each, in that order."""
-        if self.counts[NORMAL] == len(self.state) == len(live):
-            # Every node holds a live cell, so live is range(n) and order the ids.
-            agent_step(self, order)
-        else:
-            agent_step(self, [live[k] for k in order.tolist()])
+        agent_step(self, live[order])
+
+    def _thresholds(self, max_deg: int) -> None:
+        """Make the threshold table cover degree max_deg, doubling it."""
+        if max_deg >= len(self._rows):
+            cfg = self.config
+            self._rows, self._t2, self._t3 = _threshold_table(
+                self._q_eff, cfg.factors.angiogenesis, cfg.metastasis_rate, cfg.K,
+                cfg.apoptosis_rate, 1 << max_deg.bit_length(),
+            )
+
+
+@functools.lru_cache(maxsize=64)
+def _threshold_table(q_eff: float, angiogenesis: float, metastasis_rate: float, K: int,
+                     apoptosis_rate: float, size: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The thresholds of a normal cell at degrees 0..size-1.
+
+    A normal cell at degree d turns quiescent below q_eff, metastasizes
+    below t2 and dies below t3, where (t2, t3) = rows[d]. Returns rows, for
+    the cell loop, and the same floats as the arrays t2 and t3. Models with
+    the same factors share the table (a sweep has a few for its 1,350
+    runs), so the arrays are read-only.
+    """
+    rows = []
+    for deg in range(size):
+        m_eff = min(1.0, angiogenesis * metastasis_rate * deg / K)
+        t2 = q_eff + (1.0 - q_eff) * m_eff
+        rows.append((t2, t2 + (1.0 - q_eff) * (1.0 - m_eff) * apoptosis_rate))
+    t2s, t3s = (np.array(col) for col in zip(*rows))
+    t2s.flags.writeable = t3s.flags.writeable = False
+    return tuple(rows), t2s, t3s
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -248,81 +289,113 @@ def agent_step(model: Model, ids: list[int] | np.ndarray) -> None:
           otherwise dies with probability apoptosis_rate.
 
     A cell's degree is read when it acts: cells spawned earlier in the step
-    may have linked to it. Raises ValueError at the first dead cell in ids.
+    may have linked to it. Raises ValueError, before any cell acts, if ids
+    holds a dead cell.
 
-    When every node holds a normal cell and acts, no cell can spawn and
-    every degree is the one at step start, so the step is taken as array
-    operations: the same uniforms and float expressions give the same
-    states as the cell-by-cell loop, which takes every other step.
+    Within a step a cell's state changes only through its own activation,
+    and whether a metastatic cell spawns depends only on its uniform. So a
+    step of at least _ARRAY_MIN cells is taken as array operations: the
+    spawners spawn first, in activation order, then every transition
+    applies at once. Smaller steps go cell by cell. Both compare the same
+    uniforms against the same threshold floats, so they give the same
+    states, graphs and draws.
     """
-    if model.counts[NORMAL] == len(model.state) == len(ids):
-        _all_normal_step(model, ids)
-        return
-    cfg = model.config
-    f = cfg.factors
-    state = model.state
+    ids = np.asarray(ids, dtype=np.intp)
+    m = len(ids)
+    u = model._trans_rng.random(m)
+    if m >= _ARRAY_MIN:
+        _array_step(model, ids, u)
+    else:
+        _cell_loop(model, ids, u)
+
+
+def _dead_cell(ids: np.ndarray, k: int) -> ValueError:
+    return ValueError(f"cell {ids[k]} is dead and cannot act")
+
+
+def _array_step(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
+    """agent_step as array operations; the cells ids act on the uniforms u."""
+    s = model._state[ids]
     counts = model.counts
-    degrees = model.graph._deg
-    recovery = f.recovery
-    spawn_below = recovery + (1.0 - recovery) * f.angiogenesis * cfg.spawn_rate
-    q_eff = f.quiescence * (1.0 - f.angiogenesis)
-    # Normal-cell thresholds (metastasize below, die below) by degree.
-    normal_below: dict[int, tuple[float, float]] = {}
-    for i, u in zip(ids, model._trans_rng.random(len(ids)).tolist()):
-        s = state[i]
+    if counts[DEAD] and (s == DEAD).any():
+        raise _dead_cell(ids, np.flatnonzero(s == DEAD)[0])
+    recovery = model.config.factors.recovery
+    # act_deg[k]: the degree of cell ids[k] as it acts. The cells up to each
+    # spawner read theirs before it spawns, the later ones after.
+    act_deg = model.graph._deg[ids]
+    if counts[METASTATIC]:
+        spawners = np.flatnonzero((s == METASTATIC) & (u >= recovery) & (u < model._spawn_below))
+        start = 0
+        for k in spawners.tolist():
+            act_deg[start : k + 1] = model.graph._deg[ids[start : k + 1]]
+            spawn_cell(model, int(ids[k]))
+            start = k + 1
+        if start:
+            act_deg[start:] = model.graph._deg[ids[start:]]
+    model._thresholds(int(act_deg.max()))
+    new = np.where(
+        u < model._q_eff,
+        QUIESCENT,
+        np.where(u < model._t2[act_deg], METASTATIC, np.where(u < model._t3[act_deg], DEAD, NORMAL)),
+    )
+    if counts[QUIESCENT] or counts[METASTATIC]:
+        # Those are the normal cells' transitions; the others recover below
+        # recovery. With neither state in the model, every cell is normal.
+        new = np.where(s == NORMAL, new, np.where(u < recovery, _RECOVERED[s], s))
+    model._state[ids] = new
+    delta = np.bincount(new, minlength=4) - np.bincount(s, minlength=4)
+    for code, d in enumerate(delta.tolist()):
+        counts[code] += d
+
+
+def _cell_loop(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
+    """agent_step cell by cell, on Python lists gathered once per step."""
+    states = model._state[ids].tolist()
+    if DEAD in states:
+        raise _dead_cell(ids, states.index(DEAD))
+    ids_list = ids.tolist()
+    degrees = model.graph._deg[ids].tolist()
+    counts = model.counts
+    # A spawn adds at most one to any degree, and only metastatic cells spawn.
+    model._thresholds(max(degrees, default=0) + counts[METASTATIC])
+    below = model._rows
+    recovery = model.config.factors.recovery
+    spawn_below = model._spawn_below
+    q_eff = model._q_eff
+    state = model._state
+    for k, (s, x) in enumerate(zip(states, u.tolist())):
         if s == NORMAL:
-            deg = degrees[i]
-            below = normal_below.get(deg)
-            if below is None:
-                m_eff = min(1.0, f.angiogenesis * cfg.metastasis_rate * deg / cfg.K)
-                t2 = q_eff + (1.0 - q_eff) * m_eff
-                t3 = t2 + (1.0 - q_eff) * (1.0 - m_eff) * cfg.apoptosis_rate
-                below = normal_below[deg] = (t2, t3)
-            if u < q_eff:
+            t2, t3 = below[degrees[k]]
+            if x < q_eff:
                 new = QUIESCENT
-            elif u < below[0]:
+            elif x < t2:
                 new = METASTATIC
-            elif u < below[1]:
+            elif x < t3:
                 new = DEAD
             else:
                 continue
         elif s == METASTATIC:
-            if u >= recovery:
-                if u < spawn_below:
-                    spawn_cell(model, i)
+            if x >= recovery:
+                if x < spawn_below:
+                    spawn_cell(model, ids_list[k])
+                    state = model._state
+                    # The new cell's links raise the degrees of cells yet to act.
+                    degrees[k + 1 :] = model.graph._deg[ids[k + 1 :]].tolist()
                 continue
             new = DEAD
-        elif s == QUIESCENT:
-            if u >= recovery:
+        else:
+            if x >= recovery:
                 continue
             new = NORMAL
-        else:
-            raise ValueError(f"cell {i} is dead and cannot act")
-        state[i] = new
+        state[ids_list[k]] = new
         counts[s] -= 1
         counts[new] += 1
-
-
-def _all_normal_step(model: Model, ids: list[int] | np.ndarray) -> None:
-    """agent_step when ids orders every node and every node holds a normal cell."""
-    cfg = model.config
-    f = cfg.factors
-    n = len(ids)
-    u = np.empty(n)
-    u[ids] = model._trans_rng.random(n)  # u[i]: the uniform cell i acts on
-    degrees = np.fromiter(model.graph._deg, np.intp, n)
-    q_eff = f.quiescence * (1.0 - f.angiogenesis)
-    m_eff = np.minimum(1.0, f.angiogenesis * cfg.metastasis_rate * degrees / cfg.K)
-    t2 = q_eff + (1.0 - q_eff) * m_eff
-    t3 = t2 + (1.0 - q_eff) * (1.0 - m_eff) * cfg.apoptosis_rate
-    new = np.where(u < q_eff, QUIESCENT, np.where(u < t2, METASTATIC, np.where(u < t3, DEAD, NORMAL)))
-    model.state[:] = new.tolist()
-    model.counts[:] = np.bincount(new, minlength=4).tolist()
 
 
 def spawn_cell(model: Model, parent: int) -> int:
     """Grow by one normal cell, on a new node linked to parent and K-1 others; returns its id."""
     node = graph_core.add_node_linked(model.graph, parent, model.config.K - 1, model._growth_rng)
-    model.state.append(NORMAL)
+    model._state = graph_core.with_room(model._state, node + 1)
+    model._state[node] = NORMAL
     model.counts[NORMAL] += 1
     return node

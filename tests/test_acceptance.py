@@ -236,7 +236,7 @@ def test_criterion_09_invariant_fuzz():
             assert total == record.n_nodes == len(model.state)
             for agent_id in dead_ids:
                 assert model.state[agent_id] == DEAD
-            dead_ids = {i for i, s in enumerate(model.state) if s == DEAD}
+            dead_ids = {i for i, s in enumerate(model.state.tolist()) if s == DEAD}
             assert record.n_nodes >= prev_nodes
             prev_nodes = record.n_nodes
             if frozen:

@@ -455,6 +455,33 @@ class TestPlotSvg:
         with pytest.raises(InputError, match="non-numeric"):
             plot_svg(path, "timeseries", tmp_path / "chart.svg")
 
+    def test_non_finite_timeseries_value_rejected(self, tmp_path):
+        # A nan count once gave points="350.00,nan" and exit 0.
+        path = tmp_path / "run.csv"
+        for value in ("nan", "inf"):
+            path.write_text(RUN_CSV_HEADER + f"\n0,4,8,4,0,0,0,2.0\n1,4,8,{value},0,0,0,2.0\n")
+            with pytest.raises(InputError, match="non-finite"):
+                plot_svg(path, "timeseries", tmp_path / "chart.svg")
+        out = tmp_path / "cli.svg"
+        code, _, err = _cli(["plot", "--input", str(path), "--kind", "timeseries", "--out", str(out)])
+        assert code == 2 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_sweep_value_rejected(self, tmp_path):
+        spec = SweepSpec(csc_counts=(40,), angiogenesis_values=(0.2, 0.8),
+                         seeds_per_cell=1, base_seed=100, max_steps=5)
+        lines = format_sweep_summary(run_sweep(spec).cells).splitlines()
+        fields = lines[1].split(",")
+        fields[SWEEP_SUMMARY_HEADER.split(",").index("mean_metastatic_count")] = "nan"
+        path = tmp_path / "summary.csv"
+        path.write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n")
+        with pytest.raises(InputError, match="non-finite"):
+            plot_svg(path, "sweep", tmp_path / "chart.svg")
+        out = tmp_path / "cli.svg"
+        code, _, err = _cli(["plot", "--input", str(path), "--kind", "sweep", "--out", str(out)])
+        assert code == 2 and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(InputError, match="unknown plot kind"):
             plot_svg(self._run_csv(tmp_path), "scatter", tmp_path / "chart.svg")
@@ -699,6 +726,31 @@ class TestCli:
             err = self._analyze_rows(tmp_path, [row])
             assert "error: cell counts do not sum to a positive n_nodes" in err
             assert repr(row.split(",")) in err and "Traceback" not in err
+
+    def test_analyze_volume_ratio_must_be_edges_per_node(self, tmp_path):
+        # 80 edges over 40 nodes is 2.0; nan and inf once made the aggregate
+        # die with a traceback.
+        for ratio in ("nan", "inf", "2.5"):
+            row = RUNS_ROW_CELL_0.replace(",2.0,", f",{ratio},")
+            err = self._analyze_rows(tmp_path, [row])
+            assert "error: volume_ratio is not n_edges / n_nodes" in err
+            assert repr(row.split(",")) in err and "Traceback" not in err
+
+    def test_analyze_negative_count(self, tmp_path):
+        # The counts still sum to n_nodes, but one is below 0.
+        row = RUNS_ROW_CELL_0.replace(",40,80,40,0,0,0,", ",40,80,-3,0,0,43,")
+        err = self._analyze_rows(tmp_path, [row])
+        assert "error: negative count" in err and repr(row.split(",")) in err
+
+    def test_analyze_config_column_out_of_bounds(self, tmp_path):
+        # Both runs of the cell agree on an angiogenesis no config allows.
+        row = RUNS_ROW_CELL_0.replace(",0.2,", ",7.5,")
+        rows = [row, "1" + row[1:]]
+        err = self._analyze_rows(tmp_path, rows)
+        assert "error: angiogenesis must lie in [0, 1], got 7.5" in err
+        assert repr(rows[0].split(",")) in err and "Traceback" not in err
+        err = self._analyze_rows(tmp_path, [RUNS_ROW_CELL_0.replace(",40,4,", ",40,0,", 1)])
+        assert "error: K must be at least 1, got 0" in err
 
     def test_input_path_that_is_not_a_file(self, tmp_path):
         table = tmp_path / "runs.csv"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_graph import generate_er_rowwise
+from reference_graph import generate_er_rowwise, generate_er_skip_scalar
 from tumornet.engine import RngStream
 from tumornet.graph_core import (
     DegreeSequence,
@@ -161,6 +161,15 @@ class TestGenerateEr:
         assert rng.random() == ref_rng.random()
 
 
+@st.composite
+def _skip_cases(draw):
+    """(n, p) with p in [0, 1], subnormal and tiny p included, and n capped so
+    that at most about 20k edges are expected."""
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 1e-23]), st.floats(0.0, 1.0)))
+    cap = 3000 if p == 0.0 else int(min(3000.0, math.sqrt(40_000 / p)))
+    return draw(st.integers(1, max(2, cap))), p
+
+
 class TestGenerateErSkip:
     def test_p_zero_and_one(self):
         assert generate_er_skip(10, 0.0, _rng(1)).n_edges == 0
@@ -179,6 +188,18 @@ class TestGenerateErSkip:
             assert (i, j) not in seen
             seen.add((i, j))
         assert len(seen) == g.n_edges
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_skip_cases(), seed=st.integers(0, 2**64 - 1))
+    @example(case=(3000, 1e-23), seed=0)
+    @example(case=(3000, 5e-324), seed=0)
+    @example(case=(3000, 0.02), seed=1)  # about 90k edges: more than one block of draws
+    def test_same_graph_as_scalar_reference(self, case, seed):
+        n, p = case
+        g = generate_er_skip(n, p, _rng(seed))
+        ref = generate_er_skip_scalar(n, p, _rng(seed))
+        assert g == ref
+        assert degree_sequence(g) == degree_sequence(ref)
 
     def test_mean_edge_count_matches_binomial_oracle(self):
         # Distribution equivalence with the pairwise sampler, checked

@@ -3,6 +3,7 @@
 import copy
 import statistics
 from collections import Counter
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -12,7 +13,7 @@ from scipy.stats import spearmanr
 
 from reference_model import ReferenceModel
 from tumornet import tumor_model
-from tumornet.engine import run, step
+from tumornet.engine import RngStream, run, step
 from tumornet.graph_core import connectivity_threshold
 from tumornet.tumor_model import (
     DEAD,
@@ -49,7 +50,7 @@ def _set_state(m, cell, code):
 
 
 def _tally(m):
-    c = Counter(m.state)
+    c = Counter(m.state.tolist())
     return tuple(c[code] for code in (NORMAL, QUIESCENT, METASTATIC, DEAD))
 
 
@@ -137,9 +138,9 @@ class TestInitModel:
     def test_all_normal_stem_population(self):
         m = init_model(ModelConfig(n_initial=550, allow_below_threshold=True))
         assert m.graph.n_nodes == 550
-        assert m.state == [NORMAL] * 550
+        assert m.state.tolist() == [NORMAL] * 550
         assert m.state_counts() == (550, 0, 0, 0)
-        assert m.live_ids() == list(range(550))
+        assert m.live_ids().tolist() == list(range(550))
 
     def test_below_threshold_rejected(self):
         with pytest.raises(ConfigError, match="threshold"):
@@ -172,23 +173,23 @@ class TestModelBookkeeping:
         m = _model()
         _set_state(m, 3, DEAD)
         _set_state(m, 7, QUIESCENT)
-        live = m.live_ids()
+        live = m.live_ids().tolist()
         assert live == sorted(live)
         assert 3 not in live
         assert 7 in live
 
-    def test_live_ids_incremental_matches_rescan(self):
-        # Deaths and spawns between calls, over several steps: the updated
-        # list must equal a fresh scan of every cell.
+    def test_live_ids_match_a_rescan(self):
+        # Deaths and spawns between calls, over several steps: the ids must
+        # equal a fresh scan of every cell.
         m = _model(n_initial=40, p=0.2, seed=8, apoptosis_rate=0.3, spawn_rate=1.0,
                    factors=ControlFactors(0.9, 0.2, 0.3))
         for _ in range(15):
-            assert m.live_ids() == [i for i, s in enumerate(m.state) if s != DEAD]
+            assert m.live_ids().tolist() == [i for i, s in enumerate(m.state.tolist()) if s != DEAD]
             step(m)
         assert m.counts[DEAD] > 0 and len(m.state) > 40
         live = m.live_ids()
-        live.clear()  # the caller owns the returned list
-        assert m.live_ids() == [i for i, s in enumerate(m.state) if s != DEAD]
+        live[:] = 0  # the caller owns the returned array
+        assert m.live_ids().tolist() == [i for i, s in enumerate(m.state.tolist()) if s != DEAD]
 
     def test_state_counts_track_transitions(self):
         m = _model(factors=ControlFactors(0.0, 1.0, 1.0))
@@ -196,28 +197,29 @@ class TestModelBookkeeping:
         _set_state(m, 6, QUIESCENT)
         agent_step(m, [0, 1, 5, 6])
         # Certain quiescence for normals, certain recovery otherwise.
-        assert m.state[:2] == [QUIESCENT, QUIESCENT]
-        assert m.state[5:7] == [DEAD, NORMAL]
+        assert m.state[:2].tolist() == [QUIESCENT, QUIESCENT]
+        assert m.state[5:7].tolist() == [DEAD, NORMAL]
         assert m.state_counts() == _tally(m) == (27, 2, 0, 1)
 
-    def test_array_step_only_when_every_node_acts_normal(self, monkeypatch):
+    def test_array_step_only_when_enough_cells_act(self, monkeypatch):
         calls = []
-        array_step = tumor_model._all_normal_step
+        array_step = tumor_model._array_step
 
-        def counting(model, ids):
+        def counting(model, ids, u):
             calls.append(len(ids))
-            array_step(model, ids)
+            array_step(model, ids, u)
 
-        monkeypatch.setattr(tumor_model, "_all_normal_step", counting)
+        monkeypatch.setattr(tumor_model, "_array_step", counting)
+        monkeypatch.setattr(tumor_model, "_ARRAY_MIN", 20)
         m = _model()
-        agent_step(m, list(range(29)))  # every cell normal, one node idle
+        agent_step(m, list(range(19)))
         assert calls == []
-        m = _model()
-        step(m)  # step 1: all 30 normal cells act
-        assert calls == [30]
-        assert m.state_counts() != (30, 0, 0, 0)
-        step(m)
-        assert calls == [30]
+        agent_step(m, list(range(20)))
+        assert calls == [20]
+        live = len(m.live_ids())
+        assert live >= 20
+        step(m)  # every live cell acts
+        assert calls == [20, live]
 
     def test_register_spawned_agent(self):
         m = _model()
@@ -256,27 +258,27 @@ class TestAgentStep:
         for i in range(10):
             _set_state(m, i, METASTATIC)
         agent_step(m, list(range(10)))
-        assert m.state[:10] == [DEAD] * 10
+        assert m.state[:10].tolist() == [DEAD] * 10
 
     def test_full_recovery_wakes_quiescent(self):
         m = _model(factors=ControlFactors(0.4, 1.0, 0.5))
         for i in range(10):
             _set_state(m, i, QUIESCENT)
         agent_step(m, list(range(10)))
-        assert m.state[:10] == [NORMAL] * 10
+        assert m.state[:10].tolist() == [NORMAL] * 10
 
     def test_zero_recovery_keeps_quiescent(self):
         m = _model(factors=ControlFactors(0.0, 0.0, 0.5))
         for i in range(10):
             _set_state(m, i, QUIESCENT)
         agent_step(m, list(range(10)))
-        assert m.state[:10] == [QUIESCENT] * 10
+        assert m.state[:10].tolist() == [QUIESCENT] * 10
 
     def test_certain_quiescence(self):
         # quiescence 1 and angiogenesis 0 make the first threshold 1.
         m = _model(factors=ControlFactors(0.0, 0.3, 1.0))
         agent_step(m, list(range(10)))
-        assert m.state[:10] == [QUIESCENT] * 10
+        assert m.state[:10].tolist() == [QUIESCENT] * 10
 
     def test_no_metastasis_without_angiogenesis(self):
         m = _model(factors=ControlFactors(0.0, 0.3, 0.5), apoptosis_rate=0.0)
@@ -299,30 +301,33 @@ class TestAgentStep:
         assert m.state_counts()[2] == 10
 
     def test_isolated_node_cannot_metastasize(self):
-        m = _model(n_initial=5, p=0.9, K=4, allow_below_threshold=True,
-                   factors=ControlFactors(1.0, 0.0, 0.0), apoptosis_rate=0.0)
-        lone = m.graph.add_node()
-        m.state.append(NORMAL)
-        m.counts[NORMAL] += 1
+        cfg = _config(n_initial=5, p=0.9, K=4, allow_below_threshold=True,
+                      factors=ControlFactors(1.0, 0.0, 0.0), apoptosis_rate=0.0)
+        graph = init_model(cfg).graph
+        lone = graph.add_node()
+        m = tumor_model.Model(cfg, graph, RngStream(cfg.seed))
+        assert m.state_counts() == (6, 0, 0, 0)
         for _ in range(100):
             agent_step(m, [lone])
         assert m.state[lone] == NORMAL
 
-    def test_degree_read_when_the_cell_acts(self):
+    def test_degree_read_when_the_cell_acts(self, monkeypatch):
         # Cells 0 and 1 start isolated, and at degree 0 cell 1 cannot
         # metastasize. Cell 0 acts first and certainly spawns a node linked
         # to both, so cell 1 acts at degree 1, where it metastasizes with
-        # probability 1/2.
-        outcomes = set()
-        for seed in range(20):
-            m = _model(n_initial=2, p=0.0, K=2, allow_below_threshold=True, seed=seed,
-                       spawn_rate=1.0, metastasis_rate=1.0, apoptosis_rate=0.0,
-                       factors=ControlFactors(1.0, 0.0, 0.0))
-            _set_state(m, 0, METASTATIC)
-            agent_step(m, [0, 1])
-            assert m.graph.degree(1) == 1
-            outcomes.add(m.state[1])
-        assert outcomes == {NORMAL, METASTATIC}
+        # probability 1/2. Both step paths: cell by cell, and as arrays.
+        for array_min in (3, 2):
+            monkeypatch.setattr(tumor_model, "_ARRAY_MIN", array_min)
+            outcomes = set()
+            for seed in range(20):
+                m = _model(n_initial=2, p=0.0, K=2, allow_below_threshold=True, seed=seed,
+                           spawn_rate=1.0, metastasis_rate=1.0, apoptosis_rate=0.0,
+                           factors=ControlFactors(1.0, 0.0, 0.0))
+                _set_state(m, 0, METASTATIC)
+                agent_step(m, [0, 1])
+                assert m.graph.degree(1) == 1
+                outcomes.add(int(m.state[1]))
+            assert outcomes == {NORMAL, METASTATIC}
 
 
 class TestSpawning:
@@ -387,8 +392,24 @@ def _stepped(steps, **strategy_values):
         step(m)
         yield m
         # Growth can be exponential; the run has made its point.
-        if m.graph.n_nodes > 3000 or not m.live_ids():
+        if m.graph.n_nodes > 3000 or not len(m.live_ids()):
             break
+
+
+# Step 2 is an array step of 267 cells in which spawned cells link to 46
+# normal cells that act later in the step, and the state and degree arrays
+# grow while it runs.
+SPAWN_LINKS_A_LATER_CELL = dict(
+    n=267, K=7, density=2.5198519743412344,
+    factors=(0.6607278927294994, 0.08574041402644247, 0.026965351190828213),
+    rates=(0.5683582165498627, 0.526778564335999, 0.0022637596951222585),
+    seed=4360884, steps=2,
+)
+# 20 cells grow to over 3000 in 15 steps, doubling the arrays from 20 slots
+# to 5120, first in cell-by-cell steps and then in array steps.
+CROSSES_CAPACITY_GROWTHS = dict(
+    n=20, K=3, density=2.0, factors=(0.9, 0.05, 0.1), rates=(0.9, 0.5, 0.01), seed=0, steps=50,
+)
 
 
 class TestMatchesReference:
@@ -400,21 +421,44 @@ class TestMatchesReference:
     # which the product rounds back to: an all-normal, disconnected start.
     @example(n=360, K=4, density=(4 / 359) / connectivity_threshold(360),
              factors=(0.4, 0.3, 0.5), rates=(0.25, 0.5, 0.01), seed=402, steps=50)
+    @example(**SPAWN_LINKS_A_LATER_CELL)
+    @example(**CROSSES_CAPACITY_GROWTHS)
     def test_same_records_every_step(self, n, K, density, factors, rates, seed, steps):
         config = _run_config(n, K, density, factors, rates, seed)
         flat, ref = init_model(config), ReferenceModel(config)
         for _ in range(steps):
             assert step(flat) == step(ref)
             # Growth can be exponential; the comparison has made its point.
-            if flat.graph.n_nodes > 3000 or not flat.live_ids():
+            if flat.graph.n_nodes > 3000 or not len(flat.live_ids()):
                 break
         assert flat.graph == ref.graph
-        assert flat.state == [a.state.value for a in ref.agents]
+        assert flat.state.tolist() == [a.state.value for a in ref.agents]
+
+
+class TestStepPaths:
+    """The array step against the cell loop, over TestMatchesReference's configs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**RUNS)
+    @example(**SPAWN_LINKS_A_LATER_CELL)
+    @example(**CROSSES_CAPACITY_GROWTHS)
+    def test_array_and_loop_steps_agree(self, n, K, density, factors, rates, seed, steps):
+        config = _run_config(n, K, density, factors, rates, seed)
+        arrays, loop = init_model(config), init_model(config)
+        for _ in range(steps):
+            with mock.patch.object(tumor_model, "_ARRAY_MIN", 1):
+                record = step(arrays)
+            with mock.patch.object(tumor_model, "_ARRAY_MIN", 2**62):
+                assert step(loop) == record
+            assert arrays.graph == loop.graph
+            assert arrays.state.tolist() == loop.state.tolist()
+            if arrays.graph.n_nodes > 3000 or not record.count_live:
+                break
 
 
 class TestRunProperties:
-    """Invariants over TestMatchesReference's configs; step 1 of each run is
-    the all-normal array step, every later one the cell-by-cell loop."""
+    """Invariants over TestMatchesReference's configs; a step of at least
+    _ARRAY_MIN cells is an array step, a smaller one the cell loop."""
 
     @settings(max_examples=50, deadline=None)
     @given(**RUNS)
@@ -433,7 +477,7 @@ class TestRunProperties:
         for m in _stepped(**run):
             for agent_id in dead_seen:
                 assert m.state[agent_id] == DEAD
-            dead_seen.update(i for i, s in enumerate(m.state) if s == DEAD)
+            dead_seen.update(i for i, s in enumerate(m.state.tolist()) if s == DEAD)
 
     @settings(max_examples=50, deadline=None)
     @given(**RUNS)
