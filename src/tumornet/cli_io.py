@@ -294,10 +294,13 @@ def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
 
     A row must have every column, parse with the field types, name a
     known termination reason and tci class ("" for undefined), keep its
-    configuration columns within tumor_model.BOUNDS, have four cell counts
-    and an edge count that are not negative, with the cell counts summing
-    to a positive n_nodes, and have the volume_ratio a sweep computes from
-    its counts, exactly (str() of a float round-trips).
+    configuration columns within tumor_model.BOUNDS, have a step count,
+    four cell counts and an edge count that are not negative, with the cell
+    counts summing to a positive n_nodes, and have the volume_ratio a sweep
+    computes from its counts, exactly (str() of a float round-trips). It
+    must also agree with how a run ends: no live cell if it ended extinct,
+    and at step 0 neither a disconnected ending, which the first step's
+    check makes, nor a tci, which needs two records.
     """
     text = _read_text(path, "runs table")
     reader = csv.reader(io.StringIO(text))
@@ -322,10 +325,14 @@ def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
             except ConfigError as exc:
                 raise InputError(f"{exc} in {path}: {row!r}") from None
         counts = (run.normal, run.quiescent, run.metastatic, run.dead)
-        if min(*counts, run.n_edges) < 0:
+        if min(run.steps, *counts, run.n_edges) < 0:
             raise InputError(f"negative count in {path}: {row!r}")
         if not 0 < run.n_nodes == sum(counts):
             raise InputError(f"cell counts do not sum to a positive n_nodes in {path}: {row!r}")
+        if run.termination == engine.TERM_EXTINCT and run.n_nodes > run.dead:
+            raise InputError(f"extinct run with live cells in {path}: {row!r}")
+        if run.steps == 0 and (run.termination == engine.TERM_DISCONNECTED or run.tci):
+            raise InputError(f"step-0 run with a disconnected ending or a tci in {path}: {row!r}")
         # The ratio as metrics.volume_ratio computes it from the final graph.
         if run.volume_ratio != run.n_edges / run.n_nodes:
             raise InputError(f"volume_ratio is not n_edges / n_nodes in {path}: {row!r}")

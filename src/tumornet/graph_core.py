@@ -13,6 +13,10 @@ Generation consumes random draws in a canonical order so the edge set is a
 pure function of (n, p, seed), which is what makes golden-file tests and
 cross-process sweeps possible.
 
+Growth appends a node wired to an anchor and random older nodes, one at a
+time (add_node_linked) or a batch at a time (add_nodes_linked); both make
+the same draws and give the same edge set, though not the same edge order.
+
 A Graph only grows: nodes are appended, edges are added, and nothing is
 ever removed. Nodes that were connected to each other therefore stay
 connected, which is what lets linked_since check only the newest nodes.
@@ -21,6 +25,7 @@ connected, which is what lets linked_since check only the newest nodes.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -76,10 +81,11 @@ class Graph:
         # _low[i] is 1 once node i has a neighbor with a smaller id.
         self._low = bytearray(n_nodes)
         # Edge k is (lo, hi) with lo < hi: first the arrays in _ends, then the
-        # later edges in the lists _lo and _hi until _endpoints folds them in.
+        # later edges in _lo and _hi until _endpoints folds them in. Those are
+        # int64 array.arrays, 8 bytes an edge where a list holds int objects.
         self._ends = (_NO_NODES, _NO_NODES)
-        self._lo: list[int] = []
-        self._hi: list[int] = []
+        self._lo = array("q")
+        self._hi = array("q")
         # Edge keys for has_edge, built on first use; None until then.
         self._keys: set[int] | None = None
         # The CSR adjacency of _adjacency, until the graph next changes.
@@ -167,6 +173,20 @@ class Graph:
         self._csr = None
         return new
 
+    def _link_new_nodes(self, count: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Append count nodes with the edges (lo[k], hi[k]), lo < hi, every new node a hi."""
+        n = self._n + count
+        deg = self._deg = with_room(self._deg, n)
+        # A new node may also be the lo of a later one, so its slot is added to.
+        deg[:n] += np.bincount(np.concatenate((lo, hi)), minlength=n)
+        self._n = n
+        self._low.extend(b"\x01" * count)
+        self._lo.frombytes(lo.astype(np.int64, copy=False).tobytes())
+        self._hi.frombytes(hi.astype(np.int64, copy=False).tobytes())
+        if self._keys is not None:
+            self._keys.update(_key(lo, hi).tolist())
+        self._csr = None
+
     def _edge_keys(self) -> set[int]:
         if self._keys is None:
             self._keys = set(_key(*self._endpoints()).tolist())
@@ -180,8 +200,8 @@ class Graph:
                 np.concatenate((lo, np.array(self._lo, dtype=np.intp))),
                 np.concatenate((hi, np.array(self._hi, dtype=np.intp))),
             )
-            self._lo = []
-            self._hi = []
+            self._lo = array("q")
+            self._hi = array("q")
         return self._ends
 
     def _adjacency(self) -> tuple[list[int], list[int]]:
@@ -385,7 +405,8 @@ def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Gener
     The anchor edge is unconditional. The extra neighbors are drawn
     uniformly without replacement from the nodes that existed before the
     call, excluding the anchor; when fewer than k_extra candidates exist,
-    all of them are used.
+    all of them are used. add_nodes_linked makes the same draws for a
+    batch of such nodes, and ends with the same edge set.
 
     Returns the new node's id.
 
@@ -397,10 +418,16 @@ def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Gener
         raise ValueError(f"anchor node {anchor} does not exist")
     if k_extra < 0:
         raise ValueError(f"k_extra must be non-negative, got {k_extra}")
+    return g._link_new_node(_pick_neighbors(n_before, anchor, k_extra, rng))
+
+
+def _pick_neighbors(n_before: int, anchor: int, k_extra: int, rng: np.random.Generator) -> list[int]:
+    """The neighbors of a node appended to n_before nodes: anchor and k_extra others.
+
+    They are distinct existing nodes, so the add_edge checks are skipped.
+    """
     pool = n_before - 1
     k = min(k_extra, pool)
-    # The new node's neighbors, distinct existing nodes, so every edge is
-    # valid by construction and the add_edge checks are skipped.
     if k <= 0:
         nbrs = [anchor]
     elif k >= pool:
@@ -416,4 +443,69 @@ def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Gener
         while len(chosen) <= k:
             chosen.add(int(rng.integers(0, n_before)))
         nbrs = list(chosen)
-    return g._link_new_node(nbrs)
+    return nbrs
+
+
+def add_nodes_linked(
+    g: Graph, anchors: np.ndarray, k_extra: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Append one node per anchor, in order, with add_node_linked's draws.
+
+    Node n0 + j, n0 = g.n_nodes, is wired to anchors[j] and k_extra older
+    nodes, the ones appended before it in the batch included. rng makes the
+    same draws as one add_node_linked call per anchor, so the edge set is
+    the same, although the edges may be stored in another order. Returns
+    the new edges as (lo, hi) endpoint arrays, hi the new node.
+
+    The spawns that rejection-sample come last, since each spawn adds a
+    node, and draw their extras in one rng.integers call. At the first one
+    whose draws repeat or hit its anchor, rng is rewound and redraws the
+    spawns before it, that spawn draws on its own, and the batch goes on.
+    rng.integers(0, highs) gives the values and ends in the state that one
+    call per element would, which makes the rewind and redraw exact.
+
+    Raises:
+        ValueError: If an anchor does not exist when its node is appended,
+            or k_extra is negative.
+    """
+    anchors = np.asarray(anchors, dtype=np.intp)
+    n0, count = g.n_nodes, len(anchors)
+    if not ((anchors >= 0) & (anchors < n0 + np.arange(count))).all():
+        raise ValueError(f"an anchor node of {anchors.tolist()} does not exist")
+    if k_extra < 0:
+        raise ValueError(f"k_extra must be non-negative, got {k_extra}")
+    # Spawn j sees n0 + j nodes; _pick_neighbors rejection-samples once that
+    # exceeds both _REJECTION_POOL_MIN and k_extra + 1.
+    batch_from = max(_REJECTION_POOL_MIN + 1, k_extra + 2) - n0 if k_extra else count
+    lo, hi = [], []  # the edges of the spawns that draw alone
+    los, his = [], []  # and of the ones drawn together
+    j, window = 0, count
+    while j < count:
+        if j >= batch_from:
+            end = min(count, j + window)
+            highs = np.repeat(np.arange(n0 + j, n0 + end), k_extra)
+            before = rng.bit_generator.state
+            rows = np.column_stack((anchors[j:end], rng.integers(0, highs).reshape(-1, k_extra)))
+            ranked = np.sort(rows, axis=1)
+            clash = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+            c = int(clash[0]) if clash.size else len(rows)
+            los.append(rows[:c].ravel())
+            his.append(np.repeat(np.arange(n0 + j, n0 + j + c), k_extra + 1))
+            # Next draw about twice the spawns that went through, so that
+            # frequent clashes (k_extra large against n) do not redraw the
+            # whole rest of the batch each time.
+            window = 2 * (c + 1)
+            if c == len(rows):
+                j = end
+                continue
+            rng.bit_generator.state = before
+            rng.integers(0, highs[: c * k_extra])
+            j += c
+        nbrs = _pick_neighbors(n0 + j, int(anchors[j]), k_extra, rng)
+        lo.extend(nbrs)
+        hi.extend([n0 + j] * len(nbrs))
+        j += 1
+    lo = np.concatenate([np.array(lo, dtype=np.intp), *los])
+    hi = np.concatenate([np.array(hi, dtype=np.intp), *his])
+    g._link_new_nodes(count, lo, hi)
+    return lo, hi

@@ -295,10 +295,11 @@ def agent_step(model: Model, ids: list[int] | np.ndarray) -> None:
     Within a step a cell's state changes only through its own activation,
     and whether a metastatic cell spawns depends only on its uniform. So a
     step of at least _ARRAY_MIN cells is taken as array operations: the
-    spawners spawn first, in activation order, then every transition
-    applies at once. Smaller steps go cell by cell. Both compare the same
-    uniforms against the same threshold floats, so they give the same
-    states, graphs and draws.
+    spawners spawn first, in one graph_core.add_nodes_linked batch that
+    makes the same growth draws as spawning one by one in activation order,
+    then every transition applies at once. Smaller steps go cell by cell.
+    Both compare the same uniforms against the same threshold floats, so
+    they give the same states, graphs and draws.
     """
     ids = np.asarray(ids, dtype=np.intp)
     m = len(ids)
@@ -320,18 +321,24 @@ def _array_step(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
     if counts[DEAD] and (s == DEAD).any():
         raise _dead_cell(ids, np.flatnonzero(s == DEAD)[0])
     recovery = model.config.factors.recovery
-    # act_deg[k]: the degree of cell ids[k] as it acts. The cells up to each
-    # spawner read theirs before it spawns, the later ones after.
-    act_deg = model.graph._deg[ids]
+    graph = model.graph
+    # act_deg[k]: the degree of cell ids[k] as it acts, counting the spawns of
+    # the spawners that act before it.
+    act_deg = graph._deg[ids]
     if counts[METASTATIC]:
         spawners = np.flatnonzero((s == METASTATIC) & (u >= recovery) & (u < model._spawn_below))
-        start = 0
-        for k in spawners.tolist():
-            act_deg[start : k + 1] = model.graph._deg[ids[start : k + 1]]
-            spawn_cell(model, int(ids[k]))
-            start = k + 1
-        if start:
-            act_deg[start:] = model.graph._deg[ids[start:]]
+        if spawners.size:
+            n0 = graph.n_nodes
+            lo, hi = graph_core.add_nodes_linked(graph, ids[spawners], model.config.K - 1, model._growth_rng)
+            # Node n0 + j is the j-th spawner's; pos[c] is where cell c acts.
+            pos = np.full(graph.n_nodes, -1)
+            pos[ids] = np.arange(len(ids))
+            later = pos[lo]
+            later = later[later > spawners[hi - n0]]
+            act_deg += np.bincount(later, minlength=len(ids))
+            # The new cells' slots read 0, NORMAL.
+            model._state = graph_core.with_room(model._state, graph.n_nodes)
+            counts[NORMAL] += spawners.size
     model._thresholds(int(act_deg.max()))
     new = np.where(
         u < model._q_eff,

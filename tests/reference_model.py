@@ -12,9 +12,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from tumornet import tumor_model
+from tumornet import graph_core, tumor_model
 from tumornet.engine import RngStream
-from tumornet.graph_core import _REJECTION_POOL_MIN, Graph
+from tumornet.graph_core import Graph
 
 
 class CellState(enum.Enum):
@@ -112,7 +112,7 @@ def add_node_linked_checked(g: Graph, anchor: int, k_extra: int, rng) -> int:
         return new
     if k >= pool:
         chosen = [i for i in range(n_before) if i != anchor]
-    elif n_before <= _REJECTION_POOL_MIN:
+    elif n_before <= graph_core._REJECTION_POOL_MIN:
         picks = rng.choice(pool, size=k, replace=False)
         chosen = [int(idx) if idx < anchor else int(idx) + 1 for idx in picks]
     else:

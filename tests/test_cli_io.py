@@ -742,6 +742,31 @@ class TestCli:
         err = self._analyze_rows(tmp_path, [row])
         assert "error: negative count" in err and repr(row.split(",")) in err
 
+    def test_analyze_negative_steps(self, tmp_path):
+        row = RUNS_ROW_CELL_0.replace(",1,disconnected,", ",-4,disconnected,")
+        err = self._analyze_rows(tmp_path, [row])
+        assert "error: negative count" in err and repr(row.split(",")) in err
+
+    def test_analyze_extinct_with_live_cells(self, tmp_path):
+        # 40 normal cells live, so the run cannot have ended extinct.
+        row = RUNS_ROW_CELL_0.replace(",disconnected,", ",extinct,")
+        err = self._analyze_rows(tmp_path, [row])
+        assert "error: extinct run with live cells" in err and repr(row.split(",")) in err
+
+    def test_analyze_disconnected_at_step_0(self, tmp_path):
+        # The connectivity check first runs after step 1.
+        row = RUNS_ROW_CELL_0.replace(",1,disconnected,", ",0,disconnected,")
+        err = self._analyze_rows(tmp_path, [row])
+        assert "error: step-0 run with a disconnected ending or a tci" in err
+        assert repr(row.split(",")) in err
+
+    def test_analyze_tci_at_step_0(self, tmp_path):
+        # A run of 0 steps has one record, and a tci needs two.
+        row = RUNS_ROW_CELL_0.replace(",1,disconnected,", ",0,max_steps,") + "stabilization"
+        err = self._analyze_rows(tmp_path, [row])
+        assert "error: step-0 run with a disconnected ending or a tci" in err
+        assert repr(row.split(",")) in err
+
     def test_analyze_config_column_out_of_bounds(self, tmp_path):
         # Both runs of the cell agree on an angiogenesis no config allows.
         row = RUNS_ROW_CELL_0.replace(",0.2,", ",7.5,")

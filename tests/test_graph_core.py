@@ -1,6 +1,7 @@
 """Graph structure, generators, and connectivity."""
 
 import math
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -9,11 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_graph import generate_er_rowwise, generate_er_skip_scalar
+from tumornet import graph_core
 from tumornet.engine import RngStream
 from tumornet.graph_core import (
     DegreeSequence,
     Graph,
     add_node_linked,
+    add_nodes_linked,
     connectivity_threshold,
     degree_sequence,
     generate_er,
@@ -493,3 +496,64 @@ class TestAddNodeLinked:
         nbrs = g.neighbors(new)
         assert len(nbrs) == 4
         assert 100 in nbrs
+
+
+class TestAddNodesLinked:
+    """add_nodes_linked against one add_node_linked call per anchor.
+
+    With _REJECTION_POOL_MIN patched down to 8, graphs of a few nodes take
+    the batch, where a spawn's draws often repeat or hit its anchor.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        k_extra=st.integers(0, 4),
+        raw=st.lists(st.integers(0, 10**6), max_size=12),
+        keys_built=st.booleans(),
+    )
+    # Spawn 1's draws hit its anchor.
+    @example(n=15, p=0.3, seed=7, k_extra=3, raw=[970, 102, 54], keys_built=True)
+    # A spawn draws the same extra twice.
+    @example(n=11, p=0.3, seed=4, k_extra=2, raw=[169, 754, 551], keys_built=False)
+    # Drawn together, a later spawn links the node of an earlier one.
+    @example(n=12, p=0.3, seed=14, k_extra=2, raw=[795, 211, 636, 294, 496, 642, 949, 607],
+             keys_built=True)
+    # Spawns 0-2 see at most 8 nodes and draw alone, spawns 3-4 together.
+    @example(n=6, p=0.3, seed=203, k_extra=2, raw=[151, 386, 164, 363, 965], keys_built=False)
+    # Every spawn links its anchor alone.
+    @example(n=12, p=0.3, seed=1, k_extra=0, raw=[3, 40, 5], keys_built=True)
+    def test_same_graph_as_one_call_per_anchor(self, n, p, seed, k_extra, raw, keys_built):
+        # Anchor j may be any node that exists when spawn j appends its node.
+        anchors = [a % (n + j) for j, a in enumerate(raw)]
+        batch, alone = generate_er(n, p, _rng(seed)), generate_er(n, p, _rng(seed))
+        if keys_built:
+            # has_edge then reads the key sets the appends kept up to date.
+            batch._edge_keys()
+            alone._edge_keys()
+        batch_rng, alone_rng = _rng(seed + 1), _rng(seed + 1)
+        with mock.patch.object(graph_core, "_REJECTION_POOL_MIN", 8):
+            lo, hi = add_nodes_linked(batch, anchors, k_extra, batch_rng)
+            for a in anchors:
+                add_node_linked(alone, a, k_extra, alone_rng)
+        assert batch_rng.bit_generator.state == alone_rng.bit_generator.state
+        assert batch_rng.random() == alone_rng.random()
+        assert batch == alone
+        assert batch.n_nodes == n + len(anchors)
+        assert batch.degrees.tolist() == alone.degrees.tolist()
+        total = batch.n_nodes
+        assert all(linked_since(batch, known) == linked_since(alone, known) for known in range(total + 1))
+        assert all(batch.has_edge(i, j) == alone.has_edge(i, j) for i in range(total) for j in range(total))
+        assert sorted(zip(lo.tolist(), hi.tolist())) == [e for e in alone.edges() if e[1] >= n]
+
+    def test_anchor_must_exist_when_its_node_is_appended(self):
+        add_nodes_linked(Graph(2), [1, 2], 1, _rng(0))
+        for anchors in ([2], [0, 3], [-1]):
+            with pytest.raises(ValueError):
+                add_nodes_linked(Graph(2), anchors, 1, _rng(0))
+
+    def test_negative_k_extra(self):
+        with pytest.raises(ValueError):
+            add_nodes_linked(Graph(2), [0], -1, _rng(0))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from reference_model import ReferenceModel
-from tumornet import tumor_model
+from tumornet import graph_core, tumor_model
 from tumornet.engine import RngStream, run, step
 from tumornet.graph_core import connectivity_threshold
 from tumornet.tumor_model import (
@@ -424,6 +424,19 @@ class TestMatchesReference:
     @example(**SPAWN_LINKS_A_LATER_CELL)
     @example(**CROSSES_CAPACITY_GROWTHS)
     def test_same_records_every_step(self, n, K, density, factors, rates, seed, steps):
+        self._check(n, K, density, factors, rates, seed, steps)
+
+    @settings(max_examples=50, deadline=None)
+    @given(**RUNS)
+    @example(**SPAWN_LINKS_A_LATER_CELL)
+    @example(**CROSSES_CAPACITY_GROWTHS)
+    def test_same_records_with_batched_spawns(self, **run):
+        # From 9 nodes on, the array steps spawn through add_nodes_linked's batch.
+        with mock.patch.object(graph_core, "_REJECTION_POOL_MIN", 8):
+            self._check(**run)
+
+    @staticmethod
+    def _check(n, K, density, factors, rates, seed, steps):
         config = _run_config(n, K, density, factors, rates, seed)
         flat, ref = init_model(config), ReferenceModel(config)
         for _ in range(steps):
@@ -443,6 +456,21 @@ class TestStepPaths:
     @example(**SPAWN_LINKS_A_LATER_CELL)
     @example(**CROSSES_CAPACITY_GROWTHS)
     def test_array_and_loop_steps_agree(self, n, K, density, factors, rates, seed, steps):
+        self._check(n, K, density, factors, rates, seed, steps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**RUNS)
+    @example(**SPAWN_LINKS_A_LATER_CELL)
+    @example(**CROSSES_CAPACITY_GROWTHS)
+    def test_array_and_loop_steps_agree_with_batched_spawns(self, **run):
+        # From 9 nodes on, the array steps spawn through add_nodes_linked's
+        # batch and the loop steps through add_node_linked, both rejection
+        # sampling, so their draws collide often.
+        with mock.patch.object(graph_core, "_REJECTION_POOL_MIN", 8):
+            self._check(**run)
+
+    @staticmethod
+    def _check(n, K, density, factors, rates, seed, steps):
         config = _run_config(n, K, density, factors, rates, seed)
         arrays, loop = init_model(config), init_model(config)
         for _ in range(steps):
