@@ -13,9 +13,9 @@ Generation consumes random draws in a canonical order so the edge set is a
 pure function of (n, p, seed), which is what makes golden-file tests and
 cross-process sweeps possible.
 
-Growth appends a node wired to an anchor and random older nodes, one at a
-time (add_node_linked) or a batch at a time (add_nodes_linked); both make
-the same draws and give the same edge set, though not the same edge order.
+Growth appends nodes wired to an anchor and random older nodes a batch at
+a time (add_nodes_linked), with the draws and the edge set, though not the
+edge order, of one add_node_linked call per node.
 
 A Graph only grows: nodes are appended, edges are added, and nothing is
 ever removed. Nodes that were connected to each other therefore stay
@@ -157,28 +157,12 @@ class Graph:
         if not 0 <= i < self._n:
             raise ValueError(f"node {i} does not exist")
 
-    def _link_new_node(self, nbrs: list[int]) -> NodeId:
-        """Append a node adjacent to nbrs: distinct existing nodes, at least one."""
-        new = self._n
-        deg = self._deg = with_room(self._deg, new + 1)
-        for c in nbrs:
-            deg[c] += 1
-        deg[new] = len(nbrs)
-        self._n = new + 1
-        self._low.append(1)
-        self._lo.extend(nbrs)
-        self._hi.extend([new] * len(nbrs))
-        if self._keys is not None:
-            self._keys.update(_key(c, new) for c in nbrs)
-        self._csr = None
-        return new
-
     def _link_new_nodes(self, count: int, lo: np.ndarray, hi: np.ndarray) -> None:
         """Append count nodes with the edges (lo[k], hi[k]), lo < hi, every new node a hi."""
         n = self._n + count
         deg = self._deg = with_room(self._deg, n)
-        # A new node may also be the lo of a later one, so its slot is added to.
-        deg[:n] += np.bincount(np.concatenate((lo, hi)), minlength=n)
+        # A new node's slot starts at 0; it may also be the lo of a later one.
+        np.add.at(deg, np.concatenate((lo, hi)), 1)
         self._n = n
         self._low.extend(b"\x01" * count)
         self._lo.frombytes(lo.astype(np.int64, copy=False).tobytes())
@@ -405,8 +389,8 @@ def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Gener
     The anchor edge is unconditional. The extra neighbors are drawn
     uniformly without replacement from the nodes that existed before the
     call, excluding the anchor; when fewer than k_extra candidates exist,
-    all of them are used. add_nodes_linked makes the same draws for a
-    batch of such nodes, and ends with the same edge set.
+    all of them are used. add_nodes_linked, the cell model's growth, makes
+    the same draws for a batch and is checked against this one-node form.
 
     Returns the new node's id.
 
@@ -418,7 +402,9 @@ def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Gener
         raise ValueError(f"anchor node {anchor} does not exist")
     if k_extra < 0:
         raise ValueError(f"k_extra must be non-negative, got {k_extra}")
-    return g._link_new_node(_pick_neighbors(n_before, anchor, k_extra, rng))
+    nbrs = _pick_neighbors(n_before, anchor, k_extra, rng)
+    g._link_new_nodes(1, np.array(nbrs, dtype=np.intp), np.full(len(nbrs), n_before))
+    return n_before
 
 
 def _pick_neighbors(n_before: int, anchor: int, k_extra: int, rng: np.random.Generator) -> list[int]:
@@ -451,6 +437,7 @@ def add_nodes_linked(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Append one node per anchor, in order, with add_node_linked's draws.
 
+    The cell model grows through this call, once per step with spawns.
     Node n0 + j, n0 = g.n_nodes, is wired to anchors[j] and k_extra older
     nodes, the ones appended before it in the batch included. rng makes the
     same draws as one add_node_linked call per anchor, so the edge set is

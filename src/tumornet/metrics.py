@@ -11,6 +11,10 @@ if TYPE_CHECKING:
     from .graph_core import Graph
 
 
+# The relative change of the volume ratio that tci_classify counts as stable.
+TCI_BAND = 0.1
+
+
 class TciClass(enum.Enum):
     """Tumor control index: how the growth curve ended relative to its start."""
 
@@ -26,15 +30,13 @@ def volume_ratio(g: Graph) -> float:
     return g.n_edges / g.n_nodes
 
 
-def tci_classify(series: TimeSeries, delta: float = 0.1) -> TciClass:
+def tci_classify(series: TimeSeries) -> TciClass:
     """Classify a growth curve by its final/initial volume ratio.
 
-    A relative change beyond delta in either direction is progression or
+    A relative change beyond TCI_BAND in either direction is progression or
     rejection; anything inside the band is stabilization. Needs at least
     two records and a positive initial ratio.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be non-negative, got {delta}")
     records = series.records
     if len(records) < 2:
         raise ValueError("classification needs at least two records")
@@ -42,8 +44,8 @@ def tci_classify(series: TimeSeries, delta: float = 0.1) -> TciClass:
     if initial <= 0:
         raise ValueError("initial volume ratio must be positive")
     r = records[-1].volume_ratio / initial
-    if r > 1.0 + delta:
+    if r > 1.0 + TCI_BAND:
         return TciClass.PROGRESSION
-    if r < 1.0 - delta:
+    if r < 1.0 - TCI_BAND:
         return TciClass.REJECTION
     return TciClass.STABILIZATION

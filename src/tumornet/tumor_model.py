@@ -6,9 +6,9 @@ which grows with the graph's degree array as spawned nodes are appended,
 plus a count of cells per code. Three control factors in [0, 1] steer the
 dynamics: angiogenesis feeds metastasis and growth, recovery clears
 metastatic cells and wakes quiescent ones, quiescence pushes normal cells
-dormant when angiogenesis is low. agent_step applies one whole step of
-transitions: as array operations when at least _ARRAY_MIN cells act, and
-cell by cell otherwise, both against one table of thresholds by degree.
+dormant when angiogenesis is low. agent_step applies one whole step: its
+spawns in one batch, then its transitions, as array operations when at
+least _ARRAY_MIN cells act and cell by cell otherwise.
 
 BOUNDS is the one home of every numeric config bound. ModelConfig,
 ControlFactors and sweep.SweepSpec check their fields against it when they
@@ -293,13 +293,12 @@ def agent_step(model: Model, ids: list[int] | np.ndarray) -> None:
     holds a dead cell.
 
     Within a step a cell's state changes only through its own activation,
-    and whether a metastatic cell spawns depends only on its uniform. So a
-    step of at least _ARRAY_MIN cells is taken as array operations: the
-    spawners spawn first, in one graph_core.add_nodes_linked batch that
-    makes the same growth draws as spawning one by one in activation order,
-    then every transition applies at once. Smaller steps go cell by cell.
-    Both compare the same uniforms against the same threshold floats, so
-    they give the same states, graphs and draws.
+    and whether a metastatic cell spawns depends only on its uniform. So
+    every step spawns first, in one graph_core.add_nodes_linked batch that
+    makes the same growth draws as spawning one by one in activation order.
+    Then the transitions apply: as array operations in a step of at least
+    _ARRAY_MIN cells, cell by cell in a smaller one. Both compare the same
+    uniforms against the same threshold floats, so they agree.
     """
     ids = np.asarray(ids, dtype=np.intp)
     m = len(ids)
@@ -321,24 +320,12 @@ def _array_step(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
     if counts[DEAD] and (s == DEAD).any():
         raise _dead_cell(ids, np.flatnonzero(s == DEAD)[0])
     recovery = model.config.factors.recovery
-    graph = model.graph
-    # act_deg[k]: the degree of cell ids[k] as it acts, counting the spawns of
-    # the spawners that act before it.
-    act_deg = graph._deg[ids]
+    # act_deg[k]: the degree of cell ids[k] as it acts.
+    act_deg = model.graph._deg[ids]
     if counts[METASTATIC]:
         spawners = np.flatnonzero((s == METASTATIC) & (u >= recovery) & (u < model._spawn_below))
         if spawners.size:
-            n0 = graph.n_nodes
-            lo, hi = graph_core.add_nodes_linked(graph, ids[spawners], model.config.K - 1, model._growth_rng)
-            # Node n0 + j is the j-th spawner's; pos[c] is where cell c acts.
-            pos = np.full(graph.n_nodes, -1)
-            pos[ids] = np.arange(len(ids))
-            later = pos[lo]
-            later = later[later > spawners[hi - n0]]
-            act_deg += np.bincount(later, minlength=len(ids))
-            # The new cells' slots read 0, NORMAL.
-            model._state = graph_core.with_room(model._state, graph.n_nodes)
-            counts[NORMAL] += spawners.size
+            act_deg += _spawn(model, ids, spawners)
     model._thresholds(int(act_deg.max()))
     new = np.where(
         u < model._q_eff,
@@ -360,17 +347,21 @@ def _cell_loop(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
     states = model._state[ids].tolist()
     if DEAD in states:
         raise _dead_cell(ids, states.index(DEAD))
-    ids_list = ids.tolist()
-    degrees = model.graph._deg[ids].tolist()
+    ids_list, xs = ids.tolist(), u.tolist()
+    degrees = model.graph._deg[ids]
     counts = model.counts
-    # A spawn adds at most one to any degree, and only metastatic cells spawn.
-    model._thresholds(max(degrees, default=0) + counts[METASTATIC])
-    below = model._rows
     recovery = model.config.factors.recovery
-    spawn_below = model._spawn_below
+    if counts[METASTATIC]:
+        spawn_below = model._spawn_below
+        spawners = [k for k, s in enumerate(states) if s == METASTATIC and recovery <= xs[k] < spawn_below]
+        if spawners:
+            degrees += _spawn(model, ids, np.array(spawners))
+    degrees = degrees.tolist()
+    model._thresholds(max(degrees, default=0))
+    below = model._rows
     q_eff = model._q_eff
     state = model._state
-    for k, (s, x) in enumerate(zip(states, u.tolist())):
+    for k, (s, x) in enumerate(zip(states, xs)):
         if s == NORMAL:
             t2, t3 = below[degrees[k]]
             if x < q_eff:
@@ -383,11 +374,6 @@ def _cell_loop(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
                 continue
         elif s == METASTATIC:
             if x >= recovery:
-                if x < spawn_below:
-                    spawn_cell(model, ids_list[k])
-                    state = model._state
-                    # The new cell's links raise the degrees of cells yet to act.
-                    degrees[k + 1 :] = model.graph._deg[ids[k + 1 :]].tolist()
                 continue
             new = DEAD
         else:
@@ -399,10 +385,27 @@ def _cell_loop(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
         counts[new] += 1
 
 
+def _spawn(model: Model, ids: np.ndarray, spawners: np.ndarray) -> np.ndarray:
+    """Spawn, in one batch, a normal cell for each cell ids[q], q in spawners ascending.
+
+    Returns the degree increments by position in ids: the new cell of the
+    spawner at q counts for the cell at k iff k > q, which acts after it.
+    """
+    graph = model.graph
+    n0 = graph.n_nodes
+    lo, hi = graph_core.add_nodes_linked(graph, ids[spawners], model.config.K - 1, model._growth_rng)
+    # pos[c] is where cell c acts, -1 for a cell that does not.
+    pos = np.full(graph.n_nodes, -1)
+    pos[ids] = np.arange(len(ids))
+    later = pos[lo]
+    later = later[later > spawners[hi - n0]]
+    # The new cells' slots read 0, NORMAL.
+    model._state = graph_core.with_room(model._state, graph.n_nodes)
+    model.counts[NORMAL] += len(spawners)
+    return np.bincount(later, minlength=len(ids))
+
+
 def spawn_cell(model: Model, parent: int) -> int:
     """Grow by one normal cell, on a new node linked to parent and K-1 others; returns its id."""
-    node = graph_core.add_node_linked(model.graph, parent, model.config.K - 1, model._growth_rng)
-    model._state = graph_core.with_room(model._state, node + 1)
-    model._state[node] = NORMAL
-    model.counts[NORMAL] += 1
-    return node
+    _spawn(model, np.array([parent]), np.zeros(1, dtype=np.intp))
+    return model.graph.n_nodes - 1

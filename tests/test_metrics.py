@@ -73,9 +73,9 @@ class TestTciClassify:
         assert tci_classify(_series(4.0, 2.0, 1.0)) is TciClass.REJECTION
 
     def test_boundary_is_stabilization(self):
-        # Exactly +-delta stays inside the band (strict inequalities).
-        assert tci_classify(_series(2.0, 2.2), delta=0.1) is TciClass.STABILIZATION
-        assert tci_classify(_series(2.0, 1.8), delta=0.1) is TciClass.STABILIZATION
+        # Exactly +-TCI_BAND = 0.1 stays inside the band (strict inequalities).
+        assert tci_classify(_series(2.0, 2.2)) is TciClass.STABILIZATION
+        assert tci_classify(_series(2.0, 1.8)) is TciClass.STABILIZATION
 
     def test_only_endpoints_matter(self):
         assert tci_classify(_series(2.0, 9.0, 2.05)) is TciClass.STABILIZATION
@@ -95,10 +95,6 @@ class TestTciClassify:
     def test_zero_initial_rejected(self):
         with pytest.raises(ValueError):
             tci_classify(_series(0.0, 1.0))
-
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            tci_classify(_series(1.0, 1.0), delta=-0.5)
 
 
 class TestErMeanRatio:

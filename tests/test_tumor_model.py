@@ -311,6 +311,16 @@ class TestAgentStep:
             agent_step(m, [lone])
         assert m.state[lone] == NORMAL
 
+    def test_empty_step_is_a_no_op(self):
+        m = _model(spawn_rate=1.0, factors=ControlFactors(1.0, 0.0, 0.5))
+        _set_state(m, 0, METASTATIC)
+        _set_state(m, 1, QUIESCENT)
+        before = m.state.tolist(), m.state_counts(), copy.deepcopy(m.graph)
+        streams = m._trans_rng.bit_generator.state, m._growth_rng.bit_generator.state
+        agent_step(m, [])
+        assert (m.state.tolist(), m.state_counts(), m.graph) == before
+        assert (m._trans_rng.bit_generator.state, m._growth_rng.bit_generator.state) == streams
+
     def test_degree_read_when_the_cell_acts(self, monkeypatch):
         # Cells 0 and 1 start isolated, and at degree 0 cell 1 cannot
         # metastasize. Cell 0 acts first and certainly spawns a node linked
@@ -343,6 +353,24 @@ class TestSpawning:
         assert m.state_counts() == _tally(m)
         assert m.graph.has_edge(0, child)
         assert m.graph.degree(child) == 4  # anchor + K-1 extras
+
+    def test_loop_step_spawns_in_one_batch(self, monkeypatch):
+        # A step of 10 cells, 5 of them metastatic and certain to spawn, runs
+        # the cell loop; its spawns still take one add_nodes_linked call.
+        calls = Counter()
+        for name in ("add_node_linked", "add_nodes_linked"):
+            def counting(*args, _name=name, _call=getattr(graph_core, name)):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(graph_core, name, counting)
+        m = _model(n_initial=20, p=0.3, K=4, spawn_rate=1.0,
+                   factors=ControlFactors(1.0, 0.0, 0.5))
+        for i in range(5):
+            _set_state(m, i, METASTATIC)
+        agent_step(m, list(range(10)))
+        assert m.graph.n_nodes == 25
+        assert calls == {"add_nodes_linked": 1}
 
     def test_spawn_cell_degree_clamped(self):
         m = _model(n_initial=2, p=1.0, K=6)
@@ -463,9 +491,8 @@ class TestStepPaths:
     @example(**SPAWN_LINKS_A_LATER_CELL)
     @example(**CROSSES_CAPACITY_GROWTHS)
     def test_array_and_loop_steps_agree_with_batched_spawns(self, **run):
-        # From 9 nodes on, the array steps spawn through add_nodes_linked's
-        # batch and the loop steps through add_node_linked, both rejection
-        # sampling, so their draws collide often.
+        # From 9 nodes on, the spawns of both step paths rejection-sample in
+        # add_nodes_linked's batch, so their draws collide often.
         with mock.patch.object(graph_core, "_REJECTION_POOL_MIN", 8):
             self._check(**run)
 
