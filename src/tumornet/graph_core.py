@@ -14,8 +14,14 @@ pure function of (n, p, seed), which is what makes golden-file tests and
 cross-process sweeps possible.
 
 Growth appends nodes wired to an anchor and random older nodes a batch at
-a time (add_nodes_linked), with the draws and the edge set, though not the
-edge order, of one add_node_linked call per node.
+a time (add_nodes_linked). Each node's extras are the ones rng.choice, or
+rng.integers drawn until they are distinct, would pick for it in turn. The
+batch reads those draws as numpy 2.x's Lemire draws on the generator's
+32-bit words: it takes the words in one rng.integers call per step, more
+only when a draw needs them, and decodes them itself. So the edge set,
+though not the edge order, and the generator's end state are those of the
+draws made node by node. A property test pins the decoding to numpy's own
+calls.
 
 A Graph only grows: nodes are appended, edges are added, and nothing is
 ever removed. Nodes that were connected to each other therefore stay
@@ -389,67 +395,42 @@ def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Gener
     The anchor edge is unconditional. The extra neighbors are drawn
     uniformly without replacement from the nodes that existed before the
     call, excluding the anchor; when fewer than k_extra candidates exist,
-    all of them are used. add_nodes_linked, the cell model's growth, makes
-    the same draws for a batch and is checked against this one-node form.
+    all of them are used. This is add_nodes_linked with one anchor.
 
     Returns the new node's id.
 
     Raises:
         ValueError: If the anchor does not exist or k_extra is negative.
     """
-    n_before = g.n_nodes
-    if not 0 <= anchor < n_before:
-        raise ValueError(f"anchor node {anchor} does not exist")
-    if k_extra < 0:
-        raise ValueError(f"k_extra must be non-negative, got {k_extra}")
-    nbrs = _pick_neighbors(n_before, anchor, k_extra, rng)
-    g._link_new_nodes(1, np.array(nbrs, dtype=np.intp), np.full(len(nbrs), n_before))
-    return n_before
-
-
-def _pick_neighbors(n_before: int, anchor: int, k_extra: int, rng: np.random.Generator) -> list[int]:
-    """The neighbors of a node appended to n_before nodes: anchor and k_extra others.
-
-    They are distinct existing nodes, so the add_edge checks are skipped.
-    """
-    pool = n_before - 1
-    k = min(k_extra, pool)
-    if k <= 0:
-        nbrs = [anchor]
-    elif k >= pool:
-        nbrs = list(range(n_before))
-    elif n_before <= _REJECTION_POOL_MIN:
-        # Sample positions in the pool with the anchor spliced out, then map
-        # back: position idx names node idx, shifted past the anchor.
-        picks = rng.choice(pool, size=k, replace=False).tolist()
-        nbrs = [idx if idx < anchor else idx + 1 for idx in picks]
-        nbrs.append(anchor)
-    else:
-        chosen = {anchor}
-        while len(chosen) <= k:
-            chosen.add(int(rng.integers(0, n_before)))
-        nbrs = list(chosen)
-    return nbrs
+    add_nodes_linked(g, [anchor], k_extra, rng)
+    return g.n_nodes - 1
 
 
 def add_nodes_linked(
     g: Graph, anchors: np.ndarray, k_extra: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Append one node per anchor, in order, with add_node_linked's draws.
+    """Append one node per anchor, in order, each wired to its anchor and k_extra others.
 
     The cell model grows through this call, once per step with spawns.
-    Node n0 + j, n0 = g.n_nodes, is wired to anchors[j] and k_extra older
-    nodes, the ones appended before it in the batch included. rng makes the
-    same draws as one add_node_linked call per anchor, so the edge set is
-    the same, although the edges may be stored in another order. Returns
-    the new edges as (lo, hi) endpoint arrays, hi the new node.
+    Node v = n0 + j, n0 = g.n_nodes, is wired to anchors[j] and k_extra
+    other nodes older than v, the ones appended before it in the batch
+    included, or to all of them when there are at most k_extra + 1. The
+    edge set is that of drawing the nodes one at a time: up to
+    _REJECTION_POOL_MIN older nodes, the extras are
+    rng.choice(v - 1, k_extra, replace=False), positions among the older
+    nodes with the anchor left out; past it, rng.integers(0, v) is drawn
+    until k_extra distinct nodes other than the anchor come up. The new
+    edges may be stored in another order. Returns them as (lo, hi)
+    endpoint arrays, hi the new node.
 
-    The spawns that rejection-sample come last, since each spawn adds a
-    node, and draw their extras in one rng.integers call. At the first one
-    whose draws repeat or hit its anchor, rng is rewound and redraws the
-    spawns before it, that spawn draws on its own, and the batch goes on.
-    rng.integers(0, highs) gives the values and ends in the state that one
-    call per element would, which makes the rewind and redraw exact.
+    Both calls make numpy 2.x's Lemire draws on rng's 32-bit words (see
+    _Words), and the batch decodes them itself from one rng.integers call
+    that reads a word per draw, with one more call for each time the reads
+    run past it. So rng ends in the state the one-by-one draws leave. A
+    property test pins this decoding to numpy's calls. Runs of at least
+    _VECTOR_MIN spawns in one regime are decoded as array operations, up
+    to the first spawn whose words are rejected or whose picks repeat; that
+    spawn is decoded word by word and the run goes on after it.
 
     Raises:
         ValueError: If an anchor does not exist when its node is appended,
@@ -457,42 +438,205 @@ def add_nodes_linked(
     """
     anchors = np.asarray(anchors, dtype=np.intp)
     n0, count = g.n_nodes, len(anchors)
-    if not ((anchors >= 0) & (anchors < n0 + np.arange(count))).all():
+    # Two reductions settle the usual batch, whose anchors all predate it.
+    if count and (
+        anchors.min() < 0 or (anchors.max() >= n0 and (anchors - np.arange(n0, n0 + count)).max() >= 0)
+    ):
         raise ValueError(f"an anchor node of {anchors.tolist()} does not exist")
     if k_extra < 0:
         raise ValueError(f"k_extra must be non-negative, got {k_extra}")
-    # Spawn j sees n0 + j nodes; _pick_neighbors rejection-samples once that
-    # exceeds both _REJECTION_POOL_MIN and k_extra + 1.
-    batch_from = max(_REJECTION_POOL_MIN + 1, k_extra + 2) - n0 if k_extra else count
-    lo, hi = [], []  # the edges of the spawns that draw alone
-    los, his = [], []  # and of the ones drawn together
-    j, window = 0, count
-    while j < count:
-        if j >= batch_from:
-            end = min(count, j + window)
-            highs = np.repeat(np.arange(n0 + j, n0 + end), k_extra)
-            before = rng.bit_generator.state
-            rows = np.column_stack((anchors[j:end], rng.integers(0, highs).reshape(-1, k_extra)))
-            ranked = np.sort(rows, axis=1)
-            clash = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
-            c = int(clash[0]) if clash.size else len(rows)
-            los.append(rows[:c].ravel())
-            his.append(np.repeat(np.arange(n0 + j, n0 + j + c), k_extra + 1))
-            # Next draw about twice the spawns that went through, so that
-            # frequent clashes (k_extra large against n) do not redraw the
-            # whole rest of the batch each time.
-            window = 2 * (c + 1)
-            if c == len(rows):
-                j = end
-                continue
-            rng.bit_generator.state = before
-            rng.integers(0, highs[: c * k_extra])
-            j += c
-        nbrs = _pick_neighbors(n0 + j, int(anchors[j]), k_extra, rng)
-        lo.extend(nbrs)
-        hi.extend([n0 + j] * len(nbrs))
-        j += 1
-    lo = np.concatenate([np.array(lo, dtype=np.intp), *los])
-    hi = np.concatenate([np.array(hi, dtype=np.intp), *his])
+    if k_extra == 0:
+        lo, hi = anchors, np.arange(n0, n0 + count)
+    else:
+        lo, hi = _draw_links(n0, anchors, k_extra, rng)
     g._link_new_nodes(count, lo, hi)
     return lo, hi
+
+
+def _draw_links(
+    n0: int, anchors: np.ndarray, k_extra: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of add_nodes_linked with k_extra >= 1, as (lo, hi) arrays."""
+    count = len(anchors)
+    # Spawn j sees n0 + j nodes: it links them all while they number at
+    # most k_extra + 1, samples like rng.choice while they number at most
+    # _REJECTION_POOL_MIN, and rejection-samples past that.
+    choice_from = min(count, max(0, k_extra + 2 - n0))
+    reject_from = min(count, max(choice_from, _REJECTION_POOL_MIN + 1 - n0))
+    lo = [u for v in range(n0, n0 + choice_from) for u in range(v)]
+    hi = [v for v in range(n0, n0 + choice_from) for _ in range(v)]
+    lo_rows, hi_rows = [], []
+    words = _Words(rng, (reject_from - choice_from) * (2 * k_extra - 1) + (count - reject_from) * k_extra)
+    for start, end, width, rows_of, one in (
+        (choice_from, reject_from, 2 * k_extra - 1, _choice_rows, _choice_one),
+        (reject_from, count, k_extra, _distinct_rows, _distinct_one),
+    ):
+        j, window = start, end - start
+        while j < end:
+            if end - j >= _VECTOR_MIN:
+                size = min(window, end - j)
+                w = words.ahead(size * width).reshape(size, width)
+                rows = rows_of(w, n0 + j, anchors[j : j + size], k_extra)
+                c = len(rows)
+                words.at += c * width
+                lo_rows.append(rows.ravel())
+                hi_rows.append(np.repeat(np.arange(n0 + j, n0 + j + c), k_extra + 1))
+                j += c
+                # After a spawn that reads more words, the rest of the run
+                # is decoded again from the words after it. Blocks of about
+                # twice the spawns that went through keep frequent ones
+                # (k_extra large against the node count) from decoding the
+                # rest of a large batch over and over.
+                window = max(_VECTOR_MIN, 2 * (c + 1))
+                if c == size:
+                    continue
+            nbrs = one(words, n0 + j, anchors.item(j), k_extra)
+            lo.extend(nbrs)
+            hi.extend([n0 + j] * len(nbrs))
+            j += 1
+    lo, hi = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
+    if lo_rows:
+        lo, hi = np.concatenate((lo, *lo_rows)), np.concatenate((hi, *hi_rows))
+    return lo, hi
+
+
+# rng.integers(0, r) and rng.choice read the generator's 32-bit words as
+# Lemire draws; _Words and the decoders below read them the same way.
+_WORD = 1 << 32
+_LOW = _WORD - 1
+
+# Runs of at least this many spawns in one sampling regime are decoded as
+# array operations, shorter ones word by word in Python ints, which costs
+# less for the one- and two-spawn batches of small populations.
+_VECTOR_MIN = 12
+
+
+class _Words:
+    """The 32-bit words a batch of rng's bounded draws reads, drawn as they fall due.
+
+    rng.integers(0, r) reads words w until the low half of w * r is at
+    least 2**32 % r, and returns the high half (Lemire's method): a draw
+    reads one word, or more when one is rejected. due starts at one word a
+    draw, for every draw the batch makes at least, and goes up by one for
+    each rejected word and each draw the decoding adds (a repeated pick).
+    When the reads run past buf, the words up to due are drawn. rng thus
+    reads exactly the words that the draws made one by one would.
+    """
+
+    __slots__ = ("_rng", "buf", "_ints", "at", "due")
+
+    def __init__(self, rng: np.random.Generator, due: int):
+        self._rng = rng
+        # rng.integers(2**32, ...) reads one word per value, with a word
+        # left over from an earlier draw first.
+        self.buf = rng.integers(_WORD, size=due, dtype=np.uint64)
+        self._ints: list[int] = []  # a prefix of buf as Python ints, for bounded
+        self.at = 0  # the next word to read
+        self.due = due
+
+    def ahead(self, n: int) -> np.ndarray:
+        """The n words from at, not yet read; n is at most due - at."""
+        if self.at + n > len(self.buf):
+            more = self._rng.integers(_WORD, size=self.due - len(self.buf), dtype=np.uint64)
+            self.buf = np.concatenate((self.buf, more))
+        return self.buf[self.at : self.at + n]
+
+    def bounded(self, r: int) -> int:
+        """rng.integers(0, r), from the next words."""
+        while True:
+            at = self.at
+            if at >= len(self._ints):
+                self.ahead(1)
+                self._ints = self.buf.tolist()
+            m = self._ints[at] * r
+            self.at = at + 1
+            # 2**32 % r < r, so the first test settles all but a few words.
+            low = m & _LOW
+            if low >= r or low >= _WORD % r:
+                return m >> 32
+            self.due += 1
+
+
+def _lemire(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values rng.integers(0, r) reads from the uint64 words w, and where w may be rejected.
+
+    A word is rejected when the low half of w * r is below 2**32 % r. The
+    mask tests it against r instead, which needs no division and holds
+    every rejected word, and a few others (about r in 2**32).
+    """
+    m = w * r
+    return (m >> 32).astype(np.intp), (m & _LOW) < r
+
+
+def _first_row(mask: np.ndarray) -> int:
+    """The index of the first row of the 2-D mask that holds a True, or its row count."""
+    i = int(mask.argmax())
+    return i // mask.shape[1] if mask.flat[i] else len(mask)
+
+
+def _choice_picks(words: _Words, pool: int, k: int) -> list[int]:
+    """rng.choice(pool, k, replace=False), 0 < k < pool, as its values before the shuffle.
+
+    Floyd's algorithm: draw t, 0 <= t < k, is over pool - k + t + 1
+    values, and a value already picked is replaced by pool - k + t. The
+    picks are then shuffled with draws over k, k - 1, ..., 2 values, which
+    only reorder them, so those are read and dropped.
+    """
+    picks = []
+    for top in range(pool - k + 1, pool + 1):
+        v = words.bounded(top)
+        picks.append(top - 1 if v in picks else v)
+    for top in range(k, 1, -1):
+        words.bounded(top)
+    return picks
+
+
+def _choice_one(words: _Words, n: int, anchor: int, k: int) -> list[int]:
+    """The neighbors of a node appended to n nodes: anchor and, like rng.choice, k others."""
+    # Position p among the n - 1 nodes other than the anchor names node p,
+    # shifted past the anchor.
+    return [anchor] + [p + (p >= anchor) for p in _choice_picks(words, n - 1, k)]
+
+
+def _choice_rows(w: np.ndarray, n_first: int, anchors: np.ndarray, k: int) -> np.ndarray:
+    """_choice_one for spawns seeing n_first, n_first + 1, ... nodes, one row of 2k - 1 words each.
+
+    Returns their rows [anchor, k others] up to the first spawn that reads
+    a word that may be rejected.
+    """
+    size = len(anchors)
+    base = np.arange(n_first - 1 - k, n_first - 1 - k + size)  # pool - k, spawn by spawn
+    tops = np.concatenate(
+        (base[:, None] + np.arange(1, k + 1), np.broadcast_to(np.arange(k, 1, -1), (size, k - 1))), axis=1
+    )
+    vals, maybe_rejected = _lemire(w, tops.astype(np.uint64))
+    picks = vals[:, :k]
+    for t in range(1, k):
+        seen = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+        picks[seen, t] = base[seen] + t
+    picks += picks >= anchors[:, None]
+    return np.concatenate((anchors[:, None], picks), axis=1)[: _first_row(maybe_rejected)]
+
+
+def _distinct_one(words: _Words, n: int, anchor: int, k: int) -> list[int]:
+    """The neighbors of a node appended to n nodes: anchor and k others drawn by rejection."""
+    chosen = {anchor}
+    while len(chosen) <= k:
+        v = words.bounded(n)
+        if v in chosen:
+            words.due += 1
+        chosen.add(v)
+    return list(chosen)
+
+
+def _distinct_rows(w: np.ndarray, n_first: int, anchors: np.ndarray, k: int) -> np.ndarray:
+    """_distinct_one for spawns seeing n_first, n_first + 1, ... nodes, one row of k words each.
+
+    Returns their rows [anchor, k others] up to the first spawn that reads
+    a word that may be rejected, or draws a node twice or its anchor.
+    """
+    r = np.arange(n_first, n_first + len(anchors), dtype=np.uint64)[:, None]
+    vals, maybe_rejected = _lemire(w, r)
+    rows = np.concatenate((anchors[:, None], vals), axis=1)
+    ranked = np.sort(rows, axis=1)
+    return rows[: _first_row((ranked[:, 1:] == ranked[:, :-1]) | maybe_rejected)]

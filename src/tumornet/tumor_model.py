@@ -200,6 +200,10 @@ class Model:
         # the (t2, t3) rows, and the same floats as the arrays t2 and t3.
         self._rows: tuple[tuple[float, float], ...] = ()
         self._t2 = self._t3 = np.empty(0)
+        # _spawn's act-order stamps by node, grown with the graph, and the
+        # stamp its next call starts from; an older stamp is out of date.
+        self._act_at = np.zeros(0, dtype=np.int64)
+        self._act_base = 1
 
     @property
     def state(self) -> np.ndarray:
@@ -394,10 +398,14 @@ def _spawn(model: Model, ids: np.ndarray, spawners: np.ndarray) -> np.ndarray:
     graph = model.graph
     n0 = graph.n_nodes
     lo, hi = graph_core.add_nodes_linked(graph, ids[spawners], model.config.K - 1, model._growth_rng)
-    # pos[c] is where cell c acts, -1 for a cell that does not.
-    pos = np.full(graph.n_nodes, -1)
-    pos[ids] = np.arange(len(ids))
-    later = pos[lo]
+    # act_at[c] - base is where cell c acts in ids. Stamps start at 1 and
+    # only grow, so the slot of a cell that does not act in this step, or of
+    # a new node (0), reads negative, and only the slots of ids are set.
+    base = model._act_base
+    model._act_base += len(ids)
+    act_at = model._act_at = graph_core.with_room(model._act_at, graph.n_nodes)
+    act_at[ids] = np.arange(base, base + len(ids))
+    later = act_at[lo] - base
     later = later[later > spawners[hi - n0]]
     # The new cells' slots read 0, NORMAL.
     model._state = graph_core.with_room(model._state, graph.n_nodes)

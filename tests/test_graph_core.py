@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_graph import generate_er_rowwise, generate_er_skip_scalar
+from reference_model import add_node_linked_checked
 from tumornet import graph_core
 from tumornet.engine import RngStream
 from tumornet.graph_core import (
@@ -499,10 +500,11 @@ class TestAddNodeLinked:
 
 
 class TestAddNodesLinked:
-    """add_nodes_linked against one add_node_linked call per anchor.
+    """add_nodes_linked against reference_model.add_node_linked_checked, one call per anchor.
 
-    With _REJECTION_POOL_MIN patched down to 8, graphs of a few nodes take
-    the batch, where a spawn's draws often repeat or hit its anchor.
+    The reference draws with rng.choice and rng.integers themselves. With
+    _REJECTION_POOL_MIN patched down to 8, graphs of a few nodes
+    rejection-sample, where a spawn's draws often repeat or hit its anchor.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -511,7 +513,7 @@ class TestAddNodesLinked:
         p=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
         k_extra=st.integers(0, 4),
-        raw=st.lists(st.integers(0, 10**6), max_size=12),
+        raw=st.lists(st.integers(0, 10**6), max_size=30),
         keys_built=st.booleans(),
     )
     # Spawn 1's draws hit its anchor.
@@ -519,9 +521,10 @@ class TestAddNodesLinked:
     # A spawn draws the same extra twice.
     @example(n=11, p=0.3, seed=4, k_extra=2, raw=[169, 754, 551], keys_built=False)
     # Drawn together, a later spawn links the node of an earlier one.
-    @example(n=12, p=0.3, seed=14, k_extra=2, raw=[795, 211, 636, 294, 496, 642, 949, 607],
+    @example(n=12, p=0.3, seed=14, k_extra=2, raw=[795, 211, 636, 294, 496, 642, 949, 607] * 2,
              keys_built=True)
-    # Spawns 0-2 see at most 8 nodes and draw alone, spawns 3-4 together.
+    # Spawns 0-2 see at most 8 nodes and sample like rng.choice, the rest
+    # rejection-sample.
     @example(n=6, p=0.3, seed=203, k_extra=2, raw=[151, 386, 164, 363, 965], keys_built=False)
     # Every spawn links its anchor alone.
     @example(n=12, p=0.3, seed=1, k_extra=0, raw=[3, 40, 5], keys_built=True)
@@ -537,7 +540,7 @@ class TestAddNodesLinked:
         with mock.patch.object(graph_core, "_REJECTION_POOL_MIN", 8):
             lo, hi = add_nodes_linked(batch, anchors, k_extra, batch_rng)
             for a in anchors:
-                add_node_linked(alone, a, k_extra, alone_rng)
+                add_node_linked_checked(alone, a, k_extra, alone_rng)
         assert batch_rng.bit_generator.state == alone_rng.bit_generator.state
         assert batch_rng.random() == alone_rng.random()
         assert batch == alone
@@ -548,6 +551,56 @@ class TestAddNodesLinked:
         assert all(batch.has_edge(i, j) == alone.has_edge(i, j) for i in range(total) for j in range(total))
         assert sorted(zip(lo.tolist(), hi.tolist())) == [e for e in alone.edges() if e[1] >= n]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n0=st.integers(graph_core._REJECTION_POOL_MIN - 40, graph_core._REJECTION_POOL_MIN + 2),
+        count=st.integers(1, 60),
+        k_extra=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        stride=st.integers(1, 10**6),
+    )
+    # Spawn 5's first rng.choice draw reads a rejected word.
+    @example(n0=4080, count=30, k_extra=3, seed=167612, stride=7)
+    # Spawn 28's last rejection-sampling draw reads a rejected word.
+    @example(n0=4080, count=30, k_extra=3, seed=47473, stride=7)
+    def test_batch_across_the_rejection_pool_min(self, n0, count, k_extra, seed, stride):
+        # The draws do not depend on the edges, so the graphs start with none.
+        anchors = [(stride * j) % n0 for j in range(count)]
+        batch, alone = Graph(n0), Graph(n0)
+        batch_rng, alone_rng = _rng(seed), _rng(seed)
+        add_nodes_linked(batch, anchors, k_extra, batch_rng)
+        for a in anchors:
+            add_node_linked_checked(alone, a, k_extra, alone_rng)
+        assert batch_rng.bit_generator.state == alone_rng.bit_generator.state
+        assert batch == alone
+
+    @pytest.mark.parametrize(
+        "n0, zeroed",
+        [
+            # Spawn 3 samples like rng.choice from 2k - 1 = 5 words a spawn;
+            # its word 3 is the shuffle's draw over 3 values.
+            (100, 3 * 5 + 3),
+            # Spawn 2 rejection-samples from k = 3 words a spawn.
+            (6000, 2 * 3),
+        ],
+    )
+    def test_batch_reads_a_rejected_word_like_one_call_per_anchor(self, n0, zeroed):
+        # Word 0 is rejected against any range r with 2**32 % r > 0, such
+        # as 3, where the low half of 0 * 3 is 0, below 2**32 % 3 = 1.
+        words = _rng(n0).integers(2**32, size=200, dtype=np.uint64).tolist()
+        words[zeroed] = 0
+        anchors = list(range(graph_core._VECTOR_MIN + 4))
+        batch_feed, alone_feed = _WordFeed(words), _WordFeed(words)
+        batch, alone = Graph(n0), Graph(n0)
+        add_nodes_linked(batch, anchors, 3, batch_feed)
+        for a in anchors:
+            add_node_linked(alone, a, 3, alone_feed)
+        assert batch == alone
+        regular = len(anchors) * (5 if n0 < graph_core._REJECTION_POOL_MIN else 3)
+        assert len(batch_feed.words) == len(alone_feed.words) == len(words) - regular - 1
+        # The batch draws its regular words at once and the shortfall after.
+        assert batch_feed.sizes == [regular, 1]
+
     def test_anchor_must_exist_when_its_node_is_appended(self):
         add_nodes_linked(Graph(2), [1, 2], 1, _rng(0))
         for anchors in ([2], [0, 3], [-1]):
@@ -557,3 +610,71 @@ class TestAddNodesLinked:
     def test_negative_k_extra(self):
         with pytest.raises(ValueError):
             add_nodes_linked(Graph(2), [0], -1, _rng(0))
+
+
+class _WordFeed:
+    """A stand-in Generator whose integers(2**32, size, np.uint64) hands out the given words in order."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.sizes = []
+
+    def integers(self, high, size, dtype):
+        assert high == 2**32 and dtype == np.uint64
+        self.sizes.append(size)
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+class TestGrowthWords:
+    """The growth decoders against the numpy draws they read like.
+
+    Growth reads numpy's Lemire draws on the generator's 32-bit words. These
+    pin that at the installed numpy: a failure here means its
+    Generator.integers or Generator.choice reads the words another way.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pool=st.integers(2, 4096),
+        k=st.integers(1, 8),
+        lead=st.integers(0, 3),
+    )
+    # An odd lead leaves half of the generator's last 64-bit output for the next word.
+    @example(seed=5, pool=4096, k=8, lead=1)
+    def test_choice_picks_match_rng_choice(self, seed, pool, k, lead):
+        k = min(k, pool - 1)
+        ref, dec = _rng(seed), _rng(seed)
+        ref.integers(2**32, size=lead, dtype=np.uint32)
+        dec.integers(2**32, size=lead, dtype=np.uint32)
+        expected = ref.choice(pool, size=k, replace=False).tolist()
+        picks = graph_core._choice_picks(graph_core._Words(dec, 2 * k - 1), pool, k)
+        # The picks leave out the shuffle, which only reorders them.
+        assert sorted(picks) == sorted(expected)
+        assert dec.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        highs=st.lists(st.integers(2, 2**32), min_size=1, max_size=8),
+        lead=st.integers(0, 3),
+    )
+    @example(seed=5, highs=[3, 4097, 2**32], lead=1)
+    def test_bounded_matches_rng_integers(self, seed, highs, lead):
+        ref, dec = _rng(seed), _rng(seed)
+        ref.integers(2**32, size=lead, dtype=np.uint32)
+        dec.integers(2**32, size=lead, dtype=np.uint32)
+        expected = [int(ref.integers(0, r)) for r in highs]
+        words = graph_core._Words(dec, len(highs))
+        assert [words.bounded(r) for r in highs] == expected
+        assert dec.bit_generator.state == ref.bit_generator.state
+
+    def test_a_rejected_word_reads_the_next(self):
+        feed = _WordFeed([0, 2**31, 7])
+        words = graph_core._Words(feed, 1)
+        # The low half of 0 * 3 is 0, below 2**32 % 3 = 1: word 0 is
+        # rejected, and word 1 gives the high half of 2**31 * 3.
+        assert words.bounded(3) == 1
+        assert feed.sizes == [1, 1]
+        assert feed.words == [7]
