@@ -2,12 +2,13 @@
 
 A Graph holds no container per node. It keeps the degrees in one int64
 array, one byte per node that says whether the node has a neighbor with a
-smaller id, and its edges as two endpoint arrays (smaller id first): the
-ones a generator drew, followed by the ones added later. The degree array
-has room beyond the last node and doubles when an appended node fills it;
-Graph.degrees is the length-n_nodes view of it. Neighbor queries and the
-connectivity search read a compressed adjacency (CSR) that is built from
-those arrays on demand and dropped at the next change.
+smaller id, and its edges as two int64 endpoint arrays (smaller id first)
+in the order they were added. Each array has room past its used length and
+doubles when an append fills it; Graph._append is the one path for new
+nodes and their edges, and add_edge writes its one edge in place.
+Graph.degrees is the length-n_nodes view of the degrees. Neighbor queries
+and the connectivity search read a compressed adjacency (CSR) that is
+built from those arrays on demand and dropped at the next change.
 
 Generation consumes random draws in a canonical order so the edge set is a
 pure function of (n, p, seed), which is what makes golden-file tests and
@@ -31,7 +32,6 @@ connected, which is what lets linked_since check only the newest nodes.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -76,26 +76,27 @@ class Graph:
     is no API for either removal.
     """
 
-    __slots__ = ("_n", "_deg", "_low", "_ends", "_lo", "_hi", "_keys", "_csr")
+    __slots__ = ("_n", "_deg", "_low", "_m", "_lo", "_hi", "_keys", "_csr")
 
     def __init__(self, n_nodes: int = 0):
         if n_nodes < 0:
             raise ValueError(f"node count must be non-negative, got {n_nodes}")
-        self._n = n_nodes
-        # _deg[i] is the degree of node i < _n; the slots past _n are 0.
-        self._deg = np.zeros(n_nodes, dtype=np.int64)
+        # Every array below has room past its used length (see with_room);
+        # the slots past it are 0.
+        self._n = 0
+        # _deg[i] is the degree of node i < _n.
+        self._deg = np.zeros(0, dtype=np.int64)
         # _low[i] is 1 once node i has a neighbor with a smaller id.
-        self._low = bytearray(n_nodes)
-        # Edge k is (lo, hi) with lo < hi: first the arrays in _ends, then the
-        # later edges in _lo and _hi until _endpoints folds them in. Those are
-        # int64 array.arrays, 8 bytes an edge where a list holds int objects.
-        self._ends = (_NO_NODES, _NO_NODES)
-        self._lo = array("q")
-        self._hi = array("q")
+        self._low = np.zeros(0, dtype=np.uint8)
+        # Edge k < _m is (_lo[k], _hi[k]), lo < hi, in the order it was added.
+        self._m = 0
+        self._lo = np.zeros(0, dtype=np.int64)
+        self._hi = np.zeros(0, dtype=np.int64)
         # Edge keys for has_edge, built on first use; None until then.
         self._keys: set[int] | None = None
         # The CSR adjacency of _adjacency, until the graph next changes.
         self._csr: tuple[list[int], list[int]] | None = None
+        self._append(n_nodes, _NO_NODES, _NO_NODES)
 
     @property
     def n_nodes(self) -> int:
@@ -108,16 +109,12 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return self._ends[0].size + len(self._lo)
+        return self._m
 
     def add_node(self) -> NodeId:
         """Append an isolated node and return its id."""
-        new = self._n
-        self._deg = with_room(self._deg, new + 1)
-        self._n = new + 1
-        self._low.append(0)
-        self._csr = None
-        return new
+        self._append(1, _NO_NODES, _NO_NODES)
+        return self._n - 1
 
     def add_edge(self, i: NodeId, j: NodeId) -> None:
         self._check_node(i)
@@ -130,11 +127,15 @@ class Graph:
         if key in keys:
             raise ValueError(f"edge ({i}, {j}) already present")
         keys.add(key)
+        # Scalar stores: _append's array calls cost several times as much.
+        m = self._m
+        if m == len(self._lo):
+            self._lo, self._hi = with_room(self._lo, m + 1), with_room(self._hi, m + 1)
+        self._lo[m], self._hi[m] = lo, hi
+        self._m = m + 1
         self._deg[lo] += 1
         self._deg[hi] += 1
         self._low[hi] = 1
-        self._lo.append(lo)
-        self._hi.append(hi)
         self._csr = None
 
     def has_edge(self, i: NodeId, j: NodeId) -> bool:
@@ -163,16 +164,18 @@ class Graph:
         if not 0 <= i < self._n:
             raise ValueError(f"node {i} does not exist")
 
-    def _link_new_nodes(self, count: int, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Append count nodes with the edges (lo[k], hi[k]), lo < hi, every new node a hi."""
-        n = self._n + count
-        deg = self._deg = with_room(self._deg, n)
+    def _append(self, count: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Append count nodes and the new edges (lo[k], hi[k]), lo < hi."""
+        n, m = self._n + count, self._m + len(lo)
         # A new node's slot starts at 0; it may also be the lo of a later one.
-        np.add.at(deg, np.concatenate((lo, hi)), 1)
-        self._n = n
-        self._low.extend(b"\x01" * count)
-        self._lo.frombytes(lo.astype(np.int64, copy=False).tobytes())
-        self._hi.frombytes(hi.astype(np.int64, copy=False).tobytes())
+        deg = self._deg = with_room(self._deg, n)
+        np.add.at(deg, lo, 1)
+        np.add.at(deg, hi, 1)
+        low = self._low = with_room(self._low, n)
+        low[hi] = 1
+        self._lo, self._hi = with_room(self._lo, m), with_room(self._hi, m)
+        self._lo[self._m : m], self._hi[self._m : m] = lo, hi
+        self._n, self._m = n, m
         if self._keys is not None:
             self._keys.update(_key(lo, hi).tolist())
         self._csr = None
@@ -183,16 +186,8 @@ class Graph:
         return self._keys
 
     def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """All edges as (lo, hi) arrays; folds the later edges into _ends."""
-        if self._lo:
-            lo, hi = self._ends
-            self._ends = (
-                np.concatenate((lo, np.array(self._lo, dtype=np.intp))),
-                np.concatenate((hi, np.array(self._hi, dtype=np.intp))),
-            )
-            self._lo = array("q")
-            self._hi = array("q")
-        return self._ends
+        """All edges as (lo, hi) arrays: views that the next append may detach."""
+        return self._lo[: self._m], self._hi[: self._m]
 
     def _adjacency(self) -> tuple[list[int], list[int]]:
         """CSR adjacency: the neighbors of i are nbrs[ptr[i]:ptr[i + 1]]."""
@@ -225,12 +220,7 @@ def _key(lo, hi):
 def _graph_from_edges(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph:
     """A Graph on n nodes whose edges are the distinct pairs (lo[k], hi[k]), lo < hi."""
     g = Graph()
-    g._n = n
-    g._deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-    low = np.zeros(n, dtype=np.uint8)
-    low[hi] = 1
-    g._low = bytearray(low)
-    g._ends = (lo, hi)
+    g._append(n, lo, hi)
     return g
 
 
@@ -381,7 +371,7 @@ def linked_since(g: Graph, n_known: int) -> bool:
     is_connected. Node 0 has no smaller neighbor, so n_known = 0 (no
     connected prefix known yet) always gives False on a non-empty graph.
     """
-    return all(g._low[n_known:])
+    return bool(g._low[n_known : g.n_nodes].all())
 
 
 def degree_sequence(g: Graph) -> DegreeSequence:
@@ -449,7 +439,7 @@ def add_nodes_linked(
         lo, hi = anchors, np.arange(n0, n0 + count)
     else:
         lo, hi = _draw_links(n0, anchors, k_extra, rng)
-    g._link_new_nodes(count, lo, hi)
+    g._append(count, lo, hi)
     return lo, hi
 
 

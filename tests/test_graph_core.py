@@ -351,7 +351,7 @@ def _nx_er(n, p, seed):
 class TestGraphMatchesNetworkx:
     """Every query of a Graph agrees with networkx after any mix of operations."""
 
-    def _check(self, g, h, data):
+    def _check(self, g, h):
         n = g.n_nodes
         assert n == h.number_of_nodes()
         assert g.n_edges == h.number_of_edges()
@@ -361,32 +361,43 @@ class TestGraphMatchesNetworkx:
         assert all(g.neighbors(i) == set(h[i]) for i in range(n))
         assert all(g.has_edge(i, j) == h.has_edge(i, j) for i in range(n) for j in range(n))
         assert is_connected(g) == nx.is_connected(h)
-        known = data.draw(st.integers(0, n + 1))
-        assert linked_since(g, known) == all(min(h[i], default=i) < i for i in range(known, n))
+        linked = [min(h[i], default=i) < i for i in range(n)]
+        assert [linked_since(g, known) for known in range(n + 2)] == [all(linked[k:]) for k in range(n + 2)]
 
+    # An op is (kind, check, k, args): k and args pick its nodes, reduced
+    # to the nodes there are when it runs.
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(1, 12),
         p=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["node", "edge", "linked", "batch"]),
+                st.booleans(),
+                st.integers(0, 4),
+                st.lists(st.integers(0, 2**16), min_size=2, max_size=20),
+            ),
+            max_size=10,
+        ),
     )
-    def test_operations_match_networkx(self, n, p, seed, data):
+    # add_edge builds the edge keys, then a batch of 2 takes the 3 nodes to
+    # 5, and the node arrays to 6 slots: has_edge must see the batch's
+    # edges, and linked_since must not read the slot past the last node.
+    @example(n=3, p=0.0, seed=0, ops=[("edge", False, 0, [0, 1]), ("batch", True, 1, [0, 1])])
+    def test_operations_match_networkx(self, n, p, seed, ops):
         g = generate_er(n, p, _rng(seed))
         h = _nx_er(n, p, seed)
         rng = _rng(seed + 1)
-        ops = data.draw(
-            st.lists(st.tuples(st.sampled_from(["node", "edge", "linked"]), st.booleans()), max_size=10)
-        )
         # Checking only after some operations lets the lazily built views go
         # stale across several changes before they are read again.
-        for op, check in [("none", True)] + ops:
+        for op, check, k, args in [("none", True, 0, [])] + ops:
             n = g.n_nodes
             if op == "node":
                 assert g.add_node() == n
                 h.add_node(n)
             elif op == "edge":
-                i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+                i, j = args[0] % n, args[1] % n
                 if i == j or h.has_edge(i, j):
                     with pytest.raises(ValueError):
                         g.add_edge(i, j)
@@ -394,15 +405,23 @@ class TestGraphMatchesNetworkx:
                     g.add_edge(i, j)
                     h.add_edge(i, j)
             elif op == "linked":
-                anchor, k_extra = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 4))
-                assert add_node_linked(g, anchor, k_extra, rng) == n
+                anchor = args[0] % n
+                assert add_node_linked(g, anchor, k, rng) == n
                 nbrs = g.neighbors(n)
                 assert anchor in nbrs and max(nbrs) < n
-                assert len(nbrs) == 1 + min(k_extra, n - 1)
+                assert len(nbrs) == 1 + min(k, n - 1)
                 h.add_edges_from((c, n) for c in nbrs)
+            elif op == "batch":
+                # Anchor j may be any node older than the batch's node j.
+                anchors = [a % (n + j) for j, a in enumerate(args)]
+                lo, hi = add_nodes_linked(g, anchors, k, rng)
+                assert g.n_nodes == n + len(anchors)
+                assert sorted(hi.tolist()) == [v for v in range(n, g.n_nodes) for _ in range(1 + min(k, v - 1))]
+                assert set(zip(anchors, range(n, g.n_nodes))) <= set(zip(lo.tolist(), hi.tolist()))
+                h.add_edges_from(zip(lo.tolist(), hi.tolist()))
             if check:
-                self._check(g, h, data)
-        self._check(g, h, data)
+                self._check(g, h)
+        self._check(g, h)
         rebuilt = Graph(g.n_nodes)
         for i, j in h.edges():
             rebuilt.add_edge(i, j)
