@@ -7,8 +7,8 @@ plus a count of cells per code. Three control factors in [0, 1] steer the
 dynamics: angiogenesis feeds metastasis and growth, recovery clears
 metastatic cells and wakes quiescent ones, quiescence pushes normal cells
 dormant when angiogenesis is low. agent_step applies one whole step: its
-spawns in one batch, then its transitions, as array operations when at
-least _ARRAY_MIN cells act and cell by cell otherwise.
+spawns in one batch, then its transitions, as lookups in one rule table of
+thresholds when at least _ARRAY_MIN cells act and cell by cell otherwise.
 
 BOUNDS is the one home of every numeric config bound. ModelConfig,
 ControlFactors and sweep.SweepSpec check their fields against it when they
@@ -163,14 +163,25 @@ class ModelConfig:
 
 # Steps in which at least this many cells act are taken as array operations,
 # smaller ones cell by cell: the array step pays about 20 numpy calls a step,
-# the loop about 0.3 us a cell. Timed on spawn-free steps on a 2-core 2.1 GHz
-# Xeon VM (Python 3.11, numpy 2.4), the loop against the arrays took 19 us
-# against 39 us at 56 cells, 38 against 42 at 164, 69 against 65 at 201 and
-# 119 against 48 at 363; steps with spawns cross over at about the same size.
-_ARRAY_MIN = 200
+# the loop about 0.3 us a cell. Timed as the median of 1,500 interleaved
+# calls on one step, on a 2-core 2.1 GHz Xeon VM (Python 3.11, numpy 2.4),
+# the loop against the arrays took 20 us against 36 us at 36 cells, 36
+# against 33 at 96, 44 against 39 at 113 and 54 against 31 at 190 on
+# spawn-free steps, and 101 against 101 at 97 cells and 138 against 116 at
+# 198 on steps with a spawn per 50 to 75 cells.
+_ARRAY_MIN = 100
 
-# The state a quiescent or metastatic cell takes when it recovers, by code.
-_RECOVERED = np.array([NORMAL, NORMAL, DEAD, DEAD], dtype=np.int8)
+# The array step's outcome codes: code 4 * s + r for a cell in state s whose
+# uniform reaches r of its three thresholds in the rule table. _NEXT[code] is
+# the state it takes, and _MOVES[code] = (s, _NEXT[code]) moves it in the
+# counts. A uniform reaches no 2.0 sentinel, so codes 6, 7 and 11 do not
+# occur.
+_NEXT = np.array([
+    QUIESCENT, METASTATIC, DEAD, NORMAL,  # normal
+    NORMAL, QUIESCENT, QUIESCENT, QUIESCENT,  # quiescent
+    DEAD, METASTATIC, METASTATIC, METASTATIC,  # metastatic
+], dtype=np.int8)
+_MOVES = [(code // 4, new) for code, new in enumerate(_NEXT.tolist())]
 
 
 class Model:
@@ -196,10 +207,10 @@ class Model:
         f = config.factors
         self._spawn_below = f.recovery + (1.0 - f.recovery) * f.angiogenesis * config.spawn_rate
         self._q_eff = f.quiescence * (1.0 - f.angiogenesis)
-        # The thresholds of a normal cell by degree, from _threshold_table:
-        # the (t2, t3) rows, and the same floats as the arrays t2 and t3.
+        # From _threshold_table: a normal cell's (t2, t3) rows by degree, and
+        # the array step's rule table, the columns a, b and c.
         self._rows: tuple[tuple[float, float], ...] = ()
-        self._t2 = self._t3 = np.empty(0)
+        self._a = self._b = self._c = np.empty(0)
         # _spawn's act-order stamps by node, grown with the graph, and the
         # stamp its next call starts from; an older stamp is out of date.
         self._act_at = np.zeros(0, dtype=np.int64)
@@ -224,31 +235,48 @@ class Model:
         """Make the threshold table cover degree max_deg, doubling it."""
         if max_deg >= len(self._rows):
             cfg = self.config
-            self._rows, self._t2, self._t3 = _threshold_table(
-                self._q_eff, cfg.factors.angiogenesis, cfg.metastasis_rate, cfg.K,
-                cfg.apoptosis_rate, 1 << max_deg.bit_length(),
+            f = cfg.factors
+            self._rows, self._a, self._b, self._c = _threshold_table(
+                self._q_eff, f.angiogenesis, cfg.metastasis_rate, cfg.K, cfg.apoptosis_rate,
+                f.recovery, self._spawn_below, 1 << max_deg.bit_length(),
             )
 
 
 @functools.lru_cache(maxsize=64)
 def _threshold_table(q_eff: float, angiogenesis: float, metastasis_rate: float, K: int,
-                     apoptosis_rate: float, size: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The thresholds of a normal cell at degrees 0..size-1.
+                     apoptosis_rate: float, recovery: float, spawn_below: float,
+                     size: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The thresholds of every live cell at degrees 0..size-1.
 
     A normal cell at degree d turns quiescent below q_eff, metastasizes
-    below t2 and dies below t3, where (t2, t3) = rows[d]. Returns rows, for
-    the cell loop, and the same floats as the arrays t2 and t3. Models with
-    the same factors share the table (a sweep has a few for its 1,350
-    runs), so the arrays are read-only.
+    below t2 and dies below t3, where (t2, t3) = rows[d]; a quiescent or
+    metastatic cell recovers below recovery. Returns rows, for the cell
+    loop, and the rule table of the array step: the columns a, b and c,
+    whose row s * size + d holds the thresholds of a cell in state s at
+    degree d, ascending:
+
+      normal: (q_eff, t2, t3)
+      quiescent: (recovery, 2.0, 2.0)
+      metastatic: (recovery, spawn_below, 2.0)
+
+    Each threshold is the one before it plus a product of non-negative
+    floats, so it is not below it, and 2.0 lies above every uniform. So the
+    number of thresholds a uniform reaches names the branch the cell loop
+    takes on the same floats. Models with the same factors share the table
+    (a sweep has a few for its 1,350 runs), so the arrays are read-only.
     """
     rows = []
     for deg in range(size):
         m_eff = min(1.0, angiogenesis * metastasis_rate * deg / K)
         t2 = q_eff + (1.0 - q_eff) * m_eff
         rows.append((t2, t2 + (1.0 - q_eff) * (1.0 - m_eff) * apoptosis_rate))
-    t2s, t3s = (np.array(col) for col in zip(*rows))
-    t2s.flags.writeable = t3s.flags.writeable = False
-    return tuple(rows), t2s, t3s
+    t2s, t3s = zip(*rows)
+    a = np.repeat([q_eff, recovery, recovery], size)
+    b = np.concatenate([t2s, np.full(size, 2.0), np.full(size, spawn_below)])
+    c = np.concatenate([t3s, np.full(2 * size, 2.0)])
+    for col in (a, b, c):
+        col.flags.writeable = False
+    return tuple(rows), a, b, c
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -300,9 +328,11 @@ def agent_step(model: Model, ids: list[int] | np.ndarray) -> None:
     and whether a metastatic cell spawns depends only on its uniform. So
     every step spawns first, in one graph_core.add_nodes_linked batch that
     makes the same growth draws as spawning one by one in activation order.
-    Then the transitions apply: as array operations in a step of at least
-    _ARRAY_MIN cells, cell by cell in a smaller one. Both compare the same
-    uniforms against the same threshold floats, so they agree.
+    Then the transitions apply. A step of at least _ARRAY_MIN cells looks up
+    each cell's three thresholds in the rule table of _threshold_table and
+    counts those its uniform reaches; a smaller one runs the rules above
+    cell by cell. Both compare the same uniforms against the same threshold
+    floats, so they agree.
     """
     ids = np.asarray(ids, dtype=np.intp)
     m = len(ids)
@@ -321,7 +351,7 @@ def _array_step(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
     """agent_step as array operations; the cells ids act on the uniforms u."""
     s = model._state[ids]
     counts = model.counts
-    if counts[DEAD] and (s == DEAD).any():
+    if counts[DEAD] and s.max() == DEAD:
         raise _dead_cell(ids, np.flatnonzero(s == DEAD)[0])
     recovery = model.config.factors.recovery
     # act_deg[k]: the degree of cell ids[k] as it acts.
@@ -331,19 +361,15 @@ def _array_step(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
         if spawners.size:
             act_deg += _spawn(model, ids, spawners)
     model._thresholds(int(act_deg.max()))
-    new = np.where(
-        u < model._q_eff,
-        QUIESCENT,
-        np.where(u < model._t2[act_deg], METASTATIC, np.where(u < model._t3[act_deg], DEAD, NORMAL)),
-    )
-    if counts[QUIESCENT] or counts[METASTATIC]:
-        # Those are the normal cells' transitions; the others recover below
-        # recovery. With neither state in the model, every cell is normal.
-        new = np.where(s == NORMAL, new, np.where(u < recovery, _RECOVERED[s], s))
-    model._state[ids] = new
-    delta = np.bincount(new, minlength=4) - np.bincount(s, minlength=4)
-    for code, d in enumerate(delta.tolist()):
-        counts[code] += d
+    # The row of each cell in the rule table, and the thresholds u reaches.
+    key = np.multiply(s, len(model._rows), dtype=np.intp)
+    key += act_deg
+    code = 4 * s + (u >= model._a[key]) + (u >= model._b[key]) + (u >= model._c[key])
+    model._state[ids] = _NEXT[code]
+    for (old, new), n in zip(_MOVES, np.bincount(code, minlength=12).tolist()):
+        if n:
+            counts[old] -= n
+            counts[new] += n
 
 
 def _cell_loop(model: Model, ids: np.ndarray, u: np.ndarray) -> None:

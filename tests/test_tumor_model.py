@@ -6,6 +6,7 @@ from collections import Counter
 from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -238,6 +239,78 @@ class TestAgentStep:
             agent_step(m, [0])
         with pytest.raises(ValueError):
             agent_step(m, [1, 0, 2])
+
+    @pytest.mark.parametrize("array_min", [1, 2**62])
+    def test_first_dead_cell_in_activation_order_rejected(self, monkeypatch, array_min):
+        # Cells 0-4 are certain to spawn, yet nothing changes: not the
+        # states, the counts, the graph or the growth stream.
+        monkeypatch.setattr(tumor_model, "_ARRAY_MIN", array_min)
+        m = _model(spawn_rate=1.0, factors=ControlFactors(1.0, 0.0, 0.5))
+        for i in range(5):
+            _set_state(m, i, METASTATIC)
+        _set_state(m, 7, DEAD)
+        _set_state(m, 12, DEAD)
+        before = m.state.tolist(), m.state_counts(), copy.deepcopy(m.graph)
+        growth = m._growth_rng.bit_generator.state
+        with pytest.raises(ValueError, match="cell 12 is dead"):
+            agent_step(m, [0, 1, 2, 3, 4, 20, 12, 5, 7, 6])
+        assert (m.state.tolist(), m.state_counts(), m.graph) == before
+        assert m._growth_rng.bit_generator.state == growth
+
+    def test_uniforms_on_the_thresholds(self, monkeypatch):
+        # Each threshold, and the float just below it, as the uniform of a
+        # cell whose rule compares against it: "with probability x" holds
+        # for u < x, so u == x takes the next rule. Node 30 is isolated, so
+        # its metastasis threshold t2 equals q_eff. The metastatic cells act
+        # last, so no cell whose rule reads its degree acts after a spawn.
+        class Uniforms:
+            def __init__(self, u):
+                self.u = np.array(u)
+
+            def random(self, size):
+                assert size == len(self.u)
+                return self.u
+
+        def below(x):
+            return float(np.nextafter(x, 0.0))
+
+        cfg = _config(factors=ControlFactors(0.4, 0.3, 0.6), allow_below_threshold=True)
+        graph = init_model(cfg).graph
+        graph.add_node()
+        models = []
+        for array_min in (1, 2**62):
+            monkeypatch.setattr(tumor_model, "_ARRAY_MIN", array_min)
+            m = tumor_model.Model(cfg, copy.deepcopy(graph), RngStream(cfg.seed))
+            models.append(m)
+            for i in (20, 21):
+                _set_state(m, i, QUIESCENT)
+            for i in range(22, 26):
+                _set_state(m, i, METASTATIC)
+            m._thresholds(int(m.graph.degrees.max()))
+            q_eff, recovery, spawn_below = m._q_eff, cfg.factors.recovery, m._spawn_below
+            t2, t3 = zip(*(m._rows[m.graph.degree(cell)] for cell in range(6)))
+            assert all(q_eff < t2[cell] < t3[cell] for cell in range(6))
+            assert m.graph.degree(30) == 0 and m._rows[0][0] == q_eff
+            cases = [  # (cell, uniform, state after)
+                (0, below(q_eff), QUIESCENT), (1, q_eff, METASTATIC),
+                (2, below(t2[2]), METASTATIC), (3, t2[3], DEAD),
+                (4, below(t3[4]), DEAD), (5, t3[5], NORMAL),
+                (30, q_eff, DEAD),
+                (20, below(recovery), NORMAL), (21, recovery, QUIESCENT),
+                (22, below(recovery), DEAD), (23, recovery, METASTATIC),
+                (24, below(spawn_below), METASTATIC), (25, spawn_below, METASTATIC),
+            ]
+            ids, u, expected = zip(*cases)
+            m._trans_rng = Uniforms(u)
+            agent_step(m, list(ids))
+            assert m.state[list(ids)].tolist() == list(expected)
+            # Cells 23 and 24 spawn; 22 dies first and 25 draws too high.
+            assert m.graph.n_nodes == 33
+            assert m.graph.has_edge(23, 31) and m.graph.has_edge(24, 32)
+            assert m.state_counts() == _tally(m)
+        arrays, loop = models
+        assert arrays.state.tolist() == loop.state.tolist()
+        assert arrays.graph == loop.graph
 
     def test_consumes_exactly_one_uniform(self):
         # One uniform per activation, whatever the state or outcome, and
