@@ -5,10 +5,10 @@ array, one byte per node that says whether the node has a neighbor with a
 smaller id, and its edges as two int64 endpoint arrays (smaller id first)
 in the order they were added. Each array has room past its used length and
 doubles when an append fills it; Graph._append is the one path for new
-nodes and their edges, and add_edge writes its one edge in place.
-Graph.degrees is the length-n_nodes view of the degrees. Neighbor queries
-and the connectivity search read a compressed adjacency (CSR) that is
-built from those arrays on demand and dropped at the next change.
+nodes and their edges. Graph.degrees is the length-n_nodes view of the
+degrees. Neighbor queries and the connectivity search read a compressed
+adjacency (CSR) that is built from those arrays on demand and dropped at
+the next change.
 
 Generation consumes random draws in a canonical order so the edge set is a
 pure function of (n, p, seed), which is what makes golden-file tests and
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -68,15 +67,16 @@ def with_room(buf: np.ndarray, size: int) -> np.ndarray:
 
 
 class Graph:
-    """Simple undirected graph with nodes numbered 0..n_nodes-1.
+    """Simple undirected graph with nodes numbered 0..n_nodes-1, read-only to callers.
 
-    Node ids are assigned densely at creation and never reused. No
-    self-loops, no parallel edges. The edge count always equals half the
-    degree sum. Nodes are only appended and edges are never removed; there
-    is no API for either removal.
+    Graph(n) has n isolated nodes. generate_er and generate_er_skip build
+    random graphs, and add_nodes_linked appends linked nodes; all three go
+    through _append. No self-loops, no parallel edges. The edge count always
+    equals half the degree sum. Nodes are only appended and edges are never
+    removed.
     """
 
-    __slots__ = ("_n", "_deg", "_low", "_m", "_lo", "_hi", "_keys", "_csr")
+    __slots__ = ("_n", "_deg", "_low", "_m", "_lo", "_hi", "_csr")
 
     def __init__(self, n_nodes: int = 0):
         if n_nodes < 0:
@@ -92,8 +92,6 @@ class Graph:
         self._m = 0
         self._lo = np.zeros(0, dtype=np.int64)
         self._hi = np.zeros(0, dtype=np.int64)
-        # Edge keys for has_edge, built on first use; None until then.
-        self._keys: set[int] | None = None
         # The CSR adjacency of _adjacency, until the graph next changes.
         self._csr: tuple[list[int], list[int]] | None = None
         self._append(n_nodes, _NO_NODES, _NO_NODES)
@@ -111,54 +109,11 @@ class Graph:
     def n_edges(self) -> int:
         return self._m
 
-    def add_node(self) -> NodeId:
-        """Append an isolated node and return its id."""
-        self._append(1, _NO_NODES, _NO_NODES)
-        return self._n - 1
-
-    def add_edge(self, i: NodeId, j: NodeId) -> None:
-        self._check_node(i)
-        self._check_node(j)
-        if i == j:
-            raise ValueError(f"self-loop at node {i} is not allowed")
-        lo, hi = (i, j) if i < j else (j, i)
-        key = _key(lo, hi)
-        keys = self._edge_keys()
-        if key in keys:
-            raise ValueError(f"edge ({i}, {j}) already present")
-        keys.add(key)
-        # Scalar stores: _append's array calls cost several times as much.
-        m = self._m
-        if m == len(self._lo):
-            self._lo, self._hi = with_room(self._lo, m + 1), with_room(self._hi, m + 1)
-        self._lo[m], self._hi[m] = lo, hi
-        self._m = m + 1
-        self._deg[lo] += 1
-        self._deg[hi] += 1
-        self._low[hi] = 1
-        self._csr = None
-
-    def has_edge(self, i: NodeId, j: NodeId) -> bool:
-        self._check_node(i)
-        self._check_node(j)
-        lo, hi = (i, j) if i < j else (j, i)
-        return lo != hi and _key(lo, hi) in self._edge_keys()
-
     def neighbors(self, i: NodeId) -> set[int]:
         """Neighbor ids of node i, as a fresh set."""
         self._check_node(i)
         ptr, nbrs = self._adjacency()
         return set(nbrs[ptr[i] : ptr[i + 1]])
-
-    def degree(self, i: NodeId) -> int:
-        self._check_node(i)
-        return int(self._deg[i])
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges as (i, j) with i < j, in ascending lexicographic order."""
-        lo, hi = self._endpoints()
-        order = np.lexsort((hi, lo))
-        yield from zip(lo[order].tolist(), hi[order].tolist())
 
     def _check_node(self, i: int) -> None:
         if not 0 <= i < self._n:
@@ -176,14 +131,7 @@ class Graph:
         self._lo, self._hi = with_room(self._lo, m), with_room(self._hi, m)
         self._lo[self._m : m], self._hi[self._m : m] = lo, hi
         self._n, self._m = n, m
-        if self._keys is not None:
-            self._keys.update(_key(lo, hi).tolist())
         self._csr = None
-
-    def _edge_keys(self) -> set[int]:
-        if self._keys is None:
-            self._keys = set(_key(*self._endpoints()).tolist())
-        return self._keys
 
     def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges as (lo, hi) arrays: views that the next append may detach."""

@@ -2,9 +2,10 @@
 
 One CellAgent per cell, a CellState enum, a dict of counts keyed by state,
 a live list rescanned every step, one scalar uniform drawn per activation,
-and spawned nodes wired through the checked Graph.add_edge. It reads the
-same rng substreams as tumor_model.Model, so from one config both must give
-the same graphs and the same StepRecords, step by step.
+and each spawned node appended on its own through reference_graph.grow,
+which checks every edge. It reads the same rng substreams as
+tumor_model.Model, so from one config both must give the same graphs and
+the same StepRecords, step by step.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from reference_graph import grow
 from tumornet import graph_core, tumor_model
 from tumornet.engine import RngStream
 from tumornet.graph_core import Graph
@@ -82,7 +84,7 @@ def agent_step(agent: CellAgent, model: ReferenceModel) -> None:
             model.set_state(agent, CellState.NORMAL)
     else:
         q_eff = f.quiescence * (1.0 - f.angiogenesis)
-        deg = model.graph.degree(agent.agent_id)
+        deg = int(model.graph.degrees[agent.agent_id])
         m_eff = min(1.0, f.angiogenesis * model.config.metastasis_rate * deg / model.config.K)
         t1 = q_eff
         t2 = t1 + (1.0 - q_eff) * m_eff
@@ -102,15 +104,13 @@ def spawn_cell(parent: CellAgent, model: ReferenceModel) -> None:
 
 
 def add_node_linked_checked(g: Graph, anchor: int, k_extra: int, rng) -> int:
-    """graph_core.add_node_linked's draws, with every edge through Graph.add_edge."""
-    n_before = g.n_nodes
-    new = g.add_node()
-    g.add_edge(new, anchor)
+    """graph_core.add_node_linked's draws, with the new node and its edges appended through grow."""
+    new = n_before = g.n_nodes
     pool = n_before - 1
     k = min(k_extra, pool)
     if k <= 0:
-        return new
-    if k >= pool:
+        chosen = []
+    elif k >= pool:
         chosen = [i for i in range(n_before) if i != anchor]
     elif n_before <= graph_core._REJECTION_POOL_MIN:
         picks = rng.choice(pool, size=k, replace=False)
@@ -124,6 +124,5 @@ def add_node_linked_checked(g: Graph, anchor: int, k_extra: int, rng) -> int:
                 continue
             seen.add(cand)
             chosen.append(cand)
-    for c in chosen:
-        g.add_edge(new, c)
+    grow(g, 1, [(new, c) for c in [anchor] + chosen])
     return new

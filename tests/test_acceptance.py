@@ -6,6 +6,7 @@ verdict is reproducible bit-for-bit.
 """
 
 import functools
+import itertools
 import math
 import resource
 import statistics
@@ -14,6 +15,7 @@ import time
 import numpy as np
 from scipy.stats import spearmanr
 
+from reference_graph import grow
 from tumornet.cli_io import format_run_csv, format_sweep_runs, format_sweep_summary
 from tumornet.engine import RngStream, StepRecord, TimeSeries, run, step
 from tumornet.graph_core import (
@@ -111,10 +113,7 @@ def test_criterion_04_volume_ratio_consistency():
     mean = statistics.fmean(ratios)
     assert abs(mean - expected) / expected < 0.05
     for size in range(2, 51):
-        g = Graph(size)
-        for i in range(size - 1):
-            for j in range(i + 1, size):
-                g.add_edge(i, j)
+        g = grow(Graph(), size, itertools.combinations(range(size), 2))
         assert volume_ratio(g) == (size - 1) / 2
     return f"mean ratio {mean:.4f} vs {expected}, complete graphs exact for n=2..50"
 

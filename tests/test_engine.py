@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_graph import grow
 from tumornet import graph_core
 from tumornet.engine import (
     TERM_DISCONNECTED,
@@ -55,10 +56,7 @@ class StubModel:
 
 
 def _connected_graph(n):
-    g = Graph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+    return grow(Graph(), n, [(i, i + 1) for i in range(n - 1)])
 
 
 class TestRngStream:
@@ -269,7 +267,7 @@ class TestRun:
 
         def add_isolated_on_step_three(model, agent_id):
             if model.step_count == 2 and model.graph.n_nodes == 3:
-                model.graph.add_node()
+                grow(model.graph, 1)
 
         m.on_activate = add_isolated_on_step_three
         series = run(m, max_steps=10)

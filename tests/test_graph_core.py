@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_graph import generate_er_rowwise, generate_er_skip_scalar
+from reference_graph import as_networkx, generate_er_rowwise, generate_er_skip_scalar, grow
 from reference_model import add_node_linked_checked
 from tumornet import graph_core
 from tumornet.engine import RngStream
@@ -32,25 +32,21 @@ def _rng(seed):
 
 
 def _triangle():
-    g = Graph(3)
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    g.add_edge(0, 2)
-    return g
+    return grow(Graph(), 3, [(0, 1), (1, 2), (0, 2)])
 
 
 def _path(n):
-    g = Graph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+    return grow(Graph(), n, [(i, i + 1) for i in range(n - 1)])
 
 
 def _star(n):
-    g = Graph(n)
-    for i in range(1, n):
-        g.add_edge(0, i)
-    return g
+    return grow(Graph(), n, [(0, i) for i in range(1, n)])
+
+
+def _edges(g):
+    """g's edges as (lo, hi) pairs, lo < hi, in ascending order."""
+    lo, hi = g._endpoints()
+    return sorted(zip(lo.tolist(), hi.tolist()))
 
 
 class TestGraph:
@@ -59,52 +55,52 @@ class TestGraph:
         assert g.n_nodes == 0
         assert g.n_edges == 0
 
-    def test_add_node_returns_dense_ids(self):
-        g = Graph()
-        assert [g.add_node() for _ in range(4)] == [0, 1, 2, 3]
-
-    def test_add_edge_symmetry(self):
-        g = Graph(3)
-        g.add_edge(0, 2)
-        assert g.has_edge(0, 2)
-        assert g.has_edge(2, 0)
+    def test_edge_symmetry(self):
+        g = grow(Graph(3), pairs=[(2, 0)])
+        assert g.neighbors(0) == {2} and g.neighbors(2) == {0} and g.neighbors(1) == set()
         assert g.n_edges == 1
-        assert g.degree(0) == 1 and g.degree(2) == 1 and g.degree(1) == 0
+        assert g.degrees.tolist() == [1, 0, 1]
+        assert _edges(g) == [(0, 2)]
 
+    # grow, the checked way tests build graphs, rejects an edge the product
+    # never makes; the reference samplers rely on it.
     def test_self_loop_rejected(self):
         g = Graph(2)
-        with pytest.raises(ValueError):
-            g.add_edge(1, 1)
+        with pytest.raises(AssertionError):
+            grow(g, pairs=[(1, 1)])
+        assert g.n_edges == 0
 
     def test_duplicate_edge_rejected(self):
-        g = Graph(2)
-        g.add_edge(0, 1)
-        with pytest.raises(ValueError):
-            g.add_edge(1, 0)
+        g = grow(Graph(2), pairs=[(0, 1)])
+        with pytest.raises(AssertionError):
+            grow(g, pairs=[(1, 0)])
+        with pytest.raises(AssertionError):
+            grow(Graph(2), pairs=[(0, 1), (1, 0)])
+        assert g.n_edges == 1
 
     def test_unknown_node_rejected(self):
-        g = Graph(2)
+        for pair in ((0, 5), (-1, 0)):
+            with pytest.raises(AssertionError):
+                grow(Graph(2), pairs=[pair])
         with pytest.raises(ValueError):
-            g.add_edge(0, 5)
-        with pytest.raises(ValueError):
-            g.degree(-1)
+            Graph(2).neighbors(-1)
+        # A node appended in the same call exists for its edges.
+        assert grow(Graph(2), 1, [(0, 2)]).neighbors(2) == {0}
 
     def test_neighbors_is_a_copy(self):
-        g = Graph(2)
-        g.add_edge(0, 1)
+        g = grow(Graph(2), pairs=[(0, 1)])
         g.neighbors(0).clear()
-        assert g.has_edge(0, 1)
-
-    def test_edges_sorted(self):
-        g = Graph(4)
-        g.add_edge(2, 3)
-        g.add_edge(0, 3)
-        g.add_edge(0, 1)
-        assert list(g.edges()) == [(0, 1), (0, 3), (2, 3)]
+        assert g.neighbors(0) == {1}
 
     def test_equality(self):
         assert _triangle() == _triangle()
         assert _triangle() != _path(3)
+
+    def test_public_names(self):
+        # Callers read a Graph; only graph_core's builders append to one.
+        assert {name for name in dir(Graph) if not name.startswith("_")} == {
+            "n_nodes", "n_edges", "degrees", "neighbors",
+        }
 
 
 class TestGenerateEr:
@@ -116,7 +112,7 @@ class TestGenerateEr:
     def test_p_one_gives_complete_graph(self):
         g = generate_er(5, 1.0, _rng(99))
         assert g.n_edges == 10
-        assert all(g.degree(i) == 4 for i in range(5))
+        assert g.degrees.tolist() == [4] * 5
 
     def test_seeded_edge_count_band(self):
         # Binomial oracle: mean 4995, sigma about 70.3, +-3 sigma band.
@@ -186,12 +182,9 @@ class TestGenerateErSkip:
 
     def test_no_self_loops_or_duplicates(self):
         g = generate_er_skip(300, 0.02, _rng(5))
-        seen = set()
-        for i, j in g.edges():
-            assert i < j
-            assert (i, j) not in seen
-            seen.add((i, j))
-        assert len(seen) == g.n_edges
+        edges = _edges(g)
+        assert all(i < j for i, j in edges)
+        assert len(set(edges)) == len(edges) == g.n_edges
 
     @settings(max_examples=150, deadline=None)
     @given(case=_skip_cases(), seed=st.integers(0, 2**64 - 1))
@@ -233,15 +226,10 @@ class TestConnectivity:
         assert not is_connected(Graph(2))
 
     def test_isolated_node_0(self):
-        g = Graph(4)
-        g.add_edge(1, 2)
-        g.add_edge(2, 3)
-        assert not is_connected(g)
+        assert not is_connected(grow(Graph(4), pairs=[(1, 2), (2, 3)]))
 
     def test_isolated_last_node(self):
-        g = _path(4)
-        g.add_node()
-        assert not is_connected(g)
+        assert not is_connected(grow(_path(4), 1))
 
     def test_path_is_connected(self):
         assert is_connected(_path(4))
@@ -268,21 +256,14 @@ def _verdict(g, known):
 def _apply(g, op, data, rng):
     n = g.n_nodes
     if op == "node":
-        g.add_node()
+        grow(g, 1)
     elif op == "linked":
         anchor = data.draw(st.integers(0, n - 1))
         add_node_linked(g, anchor, data.draw(st.integers(0, 3)), rng)
     else:
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        if i != j and not g.has_edge(i, j):
-            g.add_edge(i, j)
-
-
-def _nx_connected(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n_nodes))
-    h.add_edges_from(g.edges())
-    return nx.is_connected(h)
+        if i != j and j not in g.neighbors(i):
+            grow(g, pairs=[(i, j)])
 
 
 class TestLinkedSince:
@@ -292,22 +273,16 @@ class TestLinkedSince:
     def test_new_nodes_with_older_neighbors(self):
         g = _path(3)
         add_node_linked(g, 1, 0, _rng(0))
-        g.add_node()
-        g.add_edge(4, 3)
+        grow(g, 1, [(4, 3)])
         assert linked_since(g, 3)
 
     def test_isolated_new_node(self):
-        g = _path(3)
-        g.add_node()
+        g = grow(_path(3), 1)
         assert not linked_since(g, 3)
         assert linked_since(g, 4)
 
     def test_new_node_linked_only_to_a_newer_one(self):
-        g = _path(3)
-        g.add_node()
-        g.add_node()
-        g.add_edge(3, 4)
-        g.add_edge(4, 0)
+        g = grow(_path(3), 2, [(3, 4), (4, 0)])
         assert not linked_since(g, 3)
         assert is_connected(g)
 
@@ -319,11 +294,8 @@ class TestLinkedSince:
         data=st.data(),
     )
     def test_verdict_matches_networkx_across_batches(self, n, edge_bits, seed, data):
-        g = Graph(n)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for bit, (i, j) in enumerate(pairs):
-            if edge_bits >> bit & 1:
-                g.add_edge(i, j)
+        g = grow(Graph(), n, [pair for bit, pair in enumerate(pairs) if edge_bits >> bit & 1])
         rng = _rng(seed)
         known = 0
         batches = data.draw(
@@ -333,7 +305,7 @@ class TestLinkedSince:
             for op in batch:
                 _apply(g, op, data, rng)
             connected = _verdict(g, known)
-            assert connected == _nx_connected(g)
+            assert connected == nx.is_connected(as_networkx(g))
             if connected:
                 known = g.n_nodes
 
@@ -355,11 +327,10 @@ class TestGraphMatchesNetworkx:
         n = g.n_nodes
         assert n == h.number_of_nodes()
         assert g.n_edges == h.number_of_edges()
-        assert [g.degree(i) for i in range(n)] == [h.degree(i) for i in range(n)]
+        assert g.degrees.tolist() == [h.degree(i) for i in range(n)]
         assert degree_sequence(g).degrees == [h.degree(i) for i in range(n)]
-        assert list(g.edges()) == sorted(tuple(sorted(e)) for e in h.edges())
+        assert _edges(g) == sorted(tuple(sorted(e)) for e in h.edges())
         assert all(g.neighbors(i) == set(h[i]) for i in range(n))
-        assert all(g.has_edge(i, j) == h.has_edge(i, j) for i in range(n) for j in range(n))
         assert is_connected(g) == nx.is_connected(h)
         linked = [min(h[i], default=i) < i for i in range(n)]
         assert [linked_since(g, known) for known in range(n + 2)] == [all(linked[k:]) for k in range(n + 2)]
@@ -381,9 +352,9 @@ class TestGraphMatchesNetworkx:
             max_size=10,
         ),
     )
-    # add_edge builds the edge keys, then a batch of 2 takes the 3 nodes to
-    # 5, and the node arrays to 6 slots: has_edge must see the batch's
-    # edges, and linked_since must not read the slot past the last node.
+    # An edge between old nodes, then a batch of 2 takes the 3 nodes to 5,
+    # and the node arrays to 6 slots: linked_since must not read the slot
+    # past the last node.
     @example(n=3, p=0.0, seed=0, ops=[("edge", False, 0, [0, 1]), ("batch", True, 1, [0, 1])])
     def test_operations_match_networkx(self, n, p, seed, ops):
         g = generate_er(n, p, _rng(seed))
@@ -394,15 +365,16 @@ class TestGraphMatchesNetworkx:
         for op, check, k, args in [("none", True, 0, [])] + ops:
             n = g.n_nodes
             if op == "node":
-                assert g.add_node() == n
+                assert grow(g, 1).n_nodes == n + 1
                 h.add_node(n)
             elif op == "edge":
+                # One edge between any two nodes, in an append of its own.
                 i, j = args[0] % n, args[1] % n
                 if i == j or h.has_edge(i, j):
-                    with pytest.raises(ValueError):
-                        g.add_edge(i, j)
+                    with pytest.raises(AssertionError):
+                        grow(g, pairs=[(i, j)])
                 else:
-                    g.add_edge(i, j)
+                    grow(g, pairs=[(i, j)])
                     h.add_edge(i, j)
             elif op == "linked":
                 anchor = args[0] % n
@@ -422,15 +394,9 @@ class TestGraphMatchesNetworkx:
             if check:
                 self._check(g, h)
         self._check(g, h)
-        rebuilt = Graph(g.n_nodes)
-        for i, j in h.edges():
-            rebuilt.add_edge(i, j)
-        assert rebuilt == g
+        assert grow(Graph(), g.n_nodes, h.edges()) == g
         if h.number_of_edges():
-            rebuilt = Graph(g.n_nodes)
-            for i, j in list(h.edges())[1:]:
-                rebuilt.add_edge(i, j)
-            assert rebuilt != g
+            assert grow(Graph(), g.n_nodes, list(h.edges())[1:]) != g
 
 
 class TestDegreeSequence:
@@ -468,18 +434,18 @@ class TestAddNodeLinked:
         g = Graph(1)
         new = add_node_linked(g, 0, 0, _rng(0))
         assert new == 1
-        assert g.degree(0) == 1 and g.degree(1) == 1
+        assert g.degrees.tolist() == [1, 1]
 
     def test_anchor_degree_increases_by_one(self):
         g = generate_er(30, 0.2, _rng(3))
-        before = g.degree(4)
+        before = int(g.degrees[4])
         add_node_linked(g, 4, 0, _rng(4))
-        assert g.degree(4) == before + 1
+        assert g.degrees[4] == before + 1
 
     def test_clamp(self):
         g = Graph(3)
         new = add_node_linked(g, 0, 10, _rng(1))
-        assert g.degree(new) == 3
+        assert g.degrees[new] == 3
 
     def test_unknown_anchor(self):
         with pytest.raises(ValueError):
@@ -499,7 +465,7 @@ class TestAddNodeLinked:
             nbrs = g.neighbors(new)
             assert new not in nbrs
             assert anchor in nbrs
-            assert len(nbrs) == g.degree(new)
+            assert len(nbrs) == g.degrees[new]
         ds = degree_sequence(g)
         assert ds.edge_count == g.n_edges
 
@@ -533,28 +499,22 @@ class TestAddNodesLinked:
         seed=st.integers(0, 2**32 - 1),
         k_extra=st.integers(0, 4),
         raw=st.lists(st.integers(0, 10**6), max_size=30),
-        keys_built=st.booleans(),
     )
     # Spawn 1's draws hit its anchor.
-    @example(n=15, p=0.3, seed=7, k_extra=3, raw=[970, 102, 54], keys_built=True)
+    @example(n=15, p=0.3, seed=7, k_extra=3, raw=[970, 102, 54])
     # A spawn draws the same extra twice.
-    @example(n=11, p=0.3, seed=4, k_extra=2, raw=[169, 754, 551], keys_built=False)
+    @example(n=11, p=0.3, seed=4, k_extra=2, raw=[169, 754, 551])
     # Drawn together, a later spawn links the node of an earlier one.
-    @example(n=12, p=0.3, seed=14, k_extra=2, raw=[795, 211, 636, 294, 496, 642, 949, 607] * 2,
-             keys_built=True)
+    @example(n=12, p=0.3, seed=14, k_extra=2, raw=[795, 211, 636, 294, 496, 642, 949, 607] * 2)
     # Spawns 0-2 see at most 8 nodes and sample like rng.choice, the rest
     # rejection-sample.
-    @example(n=6, p=0.3, seed=203, k_extra=2, raw=[151, 386, 164, 363, 965], keys_built=False)
+    @example(n=6, p=0.3, seed=203, k_extra=2, raw=[151, 386, 164, 363, 965])
     # Every spawn links its anchor alone.
-    @example(n=12, p=0.3, seed=1, k_extra=0, raw=[3, 40, 5], keys_built=True)
-    def test_same_graph_as_one_call_per_anchor(self, n, p, seed, k_extra, raw, keys_built):
+    @example(n=12, p=0.3, seed=1, k_extra=0, raw=[3, 40, 5])
+    def test_same_graph_as_one_call_per_anchor(self, n, p, seed, k_extra, raw):
         # Anchor j may be any node that exists when spawn j appends its node.
         anchors = [a % (n + j) for j, a in enumerate(raw)]
         batch, alone = generate_er(n, p, _rng(seed)), generate_er(n, p, _rng(seed))
-        if keys_built:
-            # has_edge then reads the key sets the appends kept up to date.
-            batch._edge_keys()
-            alone._edge_keys()
         batch_rng, alone_rng = _rng(seed + 1), _rng(seed + 1)
         with mock.patch.object(graph_core, "_REJECTION_POOL_MIN", 8):
             lo, hi = add_nodes_linked(batch, anchors, k_extra, batch_rng)
@@ -567,8 +527,7 @@ class TestAddNodesLinked:
         assert batch.degrees.tolist() == alone.degrees.tolist()
         total = batch.n_nodes
         assert all(linked_since(batch, known) == linked_since(alone, known) for known in range(total + 1))
-        assert all(batch.has_edge(i, j) == alone.has_edge(i, j) for i in range(total) for j in range(total))
-        assert sorted(zip(lo.tolist(), hi.tolist())) == [e for e in alone.edges() if e[1] >= n]
+        assert sorted(zip(lo.tolist(), hi.tolist())) == [e for e in _edges(alone) if e[1] >= n]
 
     @settings(max_examples=60, deadline=None)
     @given(

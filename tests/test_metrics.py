@@ -1,10 +1,12 @@
 """Volume ratios and TCI."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from reference_graph import grow
 from tumornet.engine import StepRecord, TimeSeries
 from tumornet.graph_core import Graph, degree_sequence, generate_er
 from tumornet.metrics import (
@@ -15,19 +17,11 @@ from tumornet.metrics import (
 
 
 def _triangle():
-    g = Graph(3)
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    g.add_edge(0, 2)
-    return g
+    return grow(Graph(), 3, [(0, 1), (1, 2), (0, 2)])
 
 
 def _complete(n):
-    g = Graph(n)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            g.add_edge(i, j)
-    return g
+    return grow(Graph(), n, itertools.combinations(range(n), 2))
 
 
 def _record(step, ratio, n_nodes=10):

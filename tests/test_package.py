@@ -1,17 +1,23 @@
 """The package's top-level names: the README's Library list plus the CLI."""
 
+import re
+from pathlib import Path
+
 import tumornet
 
-LIBRARY = [
-    "Graph", "generate_er", "generate_er_skip", "connectivity_threshold", "is_connected",
-    "RngStream", "step", "run",
-    "ModelConfig", "ControlFactors", "init_model",
-    "volume_ratio", "tci_classify",
-    "SweepSpec", "run_sweep", "fig4_spec",
-]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _library_list():
+    """The backticked names of the list items in the README's Library section."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- .*(?:\n  .*)*", section, flags=re.MULTILINE)
+    return [name for item in items for name in re.findall(r"`(\w+)`", item)]
 
 
 def test_all_is_the_library_list():
-    assert sorted(tumornet.__all__) == sorted(LIBRARY + ["ConfigError", "SweepError", "main"])
+    library = _library_list()
+    assert len(library) == len(set(library))
+    assert sorted(tumornet.__all__) == sorted(library + ["ConfigError", "SweepError", "main"])
     for name in tumornet.__all__:
         assert getattr(tumornet, name) is not None

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import spearmanr
+from scipy.stats import binom, spearmanr
 
+from reference_graph import as_networkx, grow
 from reference_model import ReferenceModel
 from tumornet import graph_core, tumor_model
 from tumornet.engine import RngStream, run, step
@@ -275,8 +276,7 @@ class TestAgentStep:
             return float(np.nextafter(x, 0.0))
 
         cfg = _config(factors=ControlFactors(0.4, 0.3, 0.6), allow_below_threshold=True)
-        graph = init_model(cfg).graph
-        graph.add_node()
+        graph = grow(init_model(cfg).graph, 1)
         models = []
         for array_min in (1, 2**62):
             monkeypatch.setattr(tumor_model, "_ARRAY_MIN", array_min)
@@ -288,9 +288,9 @@ class TestAgentStep:
                 _set_state(m, i, METASTATIC)
             m._thresholds(int(m.graph.degrees.max()))
             q_eff, recovery, spawn_below = m._q_eff, cfg.factors.recovery, m._spawn_below
-            t2, t3 = zip(*(m._rows[m.graph.degree(cell)] for cell in range(6)))
+            t2, t3 = zip(*(m._rows[m.graph.degrees[cell]] for cell in range(6)))
             assert all(q_eff < t2[cell] < t3[cell] for cell in range(6))
-            assert m.graph.degree(30) == 0 and m._rows[0][0] == q_eff
+            assert m.graph.degrees[30] == 0 and m._rows[0][0] == q_eff
             cases = [  # (cell, uniform, state after)
                 (0, below(q_eff), QUIESCENT), (1, q_eff, METASTATIC),
                 (2, below(t2[2]), METASTATIC), (3, t2[3], DEAD),
@@ -306,7 +306,7 @@ class TestAgentStep:
             assert m.state[list(ids)].tolist() == list(expected)
             # Cells 23 and 24 spawn; 22 dies first and 25 draws too high.
             assert m.graph.n_nodes == 33
-            assert m.graph.has_edge(23, 31) and m.graph.has_edge(24, 32)
+            assert 23 in m.graph.neighbors(31) and 24 in m.graph.neighbors(32)
             assert m.state_counts() == _tally(m)
         arrays, loop = models
         assert arrays.state.tolist() == loop.state.tolist()
@@ -377,7 +377,8 @@ class TestAgentStep:
         cfg = _config(n_initial=5, p=0.9, K=4, allow_below_threshold=True,
                       factors=ControlFactors(1.0, 0.0, 0.0), apoptosis_rate=0.0)
         graph = init_model(cfg).graph
-        lone = graph.add_node()
+        lone = graph.n_nodes
+        grow(graph, 1)
         m = tumor_model.Model(cfg, graph, RngStream(cfg.seed))
         assert m.state_counts() == (6, 0, 0, 0)
         for _ in range(100):
@@ -408,7 +409,7 @@ class TestAgentStep:
                            factors=ControlFactors(1.0, 0.0, 0.0))
                 _set_state(m, 0, METASTATIC)
                 agent_step(m, [0, 1])
-                assert m.graph.degree(1) == 1
+                assert m.graph.degrees[1] == 1
                 outcomes.add(int(m.state[1]))
             assert outcomes == {NORMAL, METASTATIC}
 
@@ -424,8 +425,8 @@ class TestSpawning:
         child = n_before
         assert m.state[child] == NORMAL
         assert m.state_counts() == _tally(m)
-        assert m.graph.has_edge(0, child)
-        assert m.graph.degree(child) == 4  # anchor + K-1 extras
+        assert 0 in m.graph.neighbors(child)
+        assert m.graph.degrees[child] == 4  # anchor + K-1 extras
 
     def test_loop_step_spawns_in_one_batch(self, monkeypatch):
         # A step of 10 cells, 5 of them metastatic and certain to spawn, runs
@@ -449,7 +450,7 @@ class TestSpawning:
         m = _model(n_initial=2, p=1.0, K=6)
         child = spawn_cell(m, 0)
         # Only 1 other prior node exists beyond the anchor.
-        assert m.graph.degree(child) == 2
+        assert m.graph.degrees[child] == 2
 
     def test_zero_spawn_when_angiogenesis_zero(self):
         m = _model(factors=ControlFactors(0.0, 0.0, 0.5), spawn_rate=1.0)
@@ -622,9 +623,8 @@ class TestRunProperties:
         # so; networkx is the oracle for the degrees and the connectivity.
         seen_connected = False
         for m in _stepped(**run):
-            g = nx.Graph(m.graph.edges())
-            g.add_nodes_from(range(m.graph.n_nodes))
-            assert [d for _, d in sorted(g.degree())] == [m.graph.degree(i) for i in range(len(g))]
+            g = as_networkx(m.graph)
+            assert [d for _, d in sorted(g.degree())] == m.graph.degrees.tolist()
             connected = nx.is_connected(g)
             assert connected or not seen_connected
             seen_connected = connected
@@ -671,3 +671,82 @@ class TestStochasticMonotonicity:
             means.append(statistics.fmean(finals))
         assert means[0] >= means[1] >= means[2]
         assert means[0] > means[2]  # the effect must be visible, not a tie
+
+
+class TestRuleOracle:
+    """Two steps of a large start against the README's transition rules.
+
+    tests/reference_model.py restates tumor_model's rules, so it cannot
+    catch a rule that differs from the README; these shares are checked
+    against the README's formulas instead. Each count must lie in the
+    central 1 - 1e-6 interval of its binomial, with p from the README.
+    """
+
+    F = ControlFactors(angiogenesis=0.8, recovery=0.3, quiescence=0.5)
+    # Mean degree 12 against K = 8: m_eff = 0.8 * d / 8 reaches 1 at degree
+    # 10, so buckets lie on both sides of the cap. 24,000 cells are past
+    # DENSE_SAMPLER_LIMIT, where the gap sampler draws the graph.
+    CONFIG = ModelConfig(n_initial=24_000, p=12 / 23_999, K=8, factors=F, spawn_rate=0.25,
+                         metastasis_rate=1.0, apoptosis_rate=0.2, seed=5)
+
+    @staticmethod
+    def _misses(checks):
+        """The (name, count, n, p) checks whose count lies outside its interval."""
+        misses = []
+        for name, count, n, p in checks:
+            low, high = binom.interval(1 - 1e-6, n, p)
+            if not low <= count <= high:
+                misses.append((name, count, n, p))
+        return misses
+
+    def test_two_steps_follow_the_readme(self):
+        cfg, f = self.CONFIG, self.F
+        assert cfg.n_initial > graph_core.DENSE_SAMPLER_LIMIT
+        m = init_model(cfg)
+        n = m.graph.n_nodes
+        deg = m.graph.degrees.copy()
+
+        # Step 1: every cell is normal, so none spawns, and each acts at its
+        # start degree.
+        step(m)
+        assert m.graph.n_nodes == n
+        after = m.state.copy()
+        q = f.quiescence * (1 - f.angiogenesis)
+        checks = []
+        for d in np.unique(deg).tolist():
+            bucket = after[deg == d]
+            m_eff = min(1.0, f.angiogenesis * cfg.metastasis_rate * d / cfg.K)
+            shares = {
+                "quiescent": (QUIESCENT, q),
+                "metastatic": (METASTATIC, (1 - q) * m_eff),
+                "dead": (DEAD, (1 - q) * (1 - m_eff) * cfg.apoptosis_rate),
+            }
+            for name, (code, share) in shares.items():
+                checks.append((f"degree {d} to {name}", int((bucket == code).sum()), len(bucket), share))
+        assert self._misses(checks) == []
+
+        # Step 2: metastatic cells die or spawn, quiescent ones wake.
+        before = after
+        meta, quiet = before == METASTATIC, before == QUIESCENT
+        step(m)
+        after = m.state
+        spawned = m.graph.n_nodes - n
+        assert set(after[:n][meta].tolist()) <= {METASTATIC, DEAD}
+        assert set(after[:n][quiet].tolist()) <= {QUIESCENT, NORMAL}
+        assert (after[n:] == NORMAL).all()
+        checks = [
+            ("metastatic die", int((after[:n][meta] == DEAD).sum()), int(meta.sum()), f.recovery),
+            ("spawns", spawned, int(meta.sum()), (1 - f.recovery) * f.angiogenesis * cfg.spawn_rate),
+            ("quiescent wake", int((after[:n][quiet] == NORMAL).sum()), int(quiet.sum()), f.recovery),
+        ]
+        assert self._misses(checks) == []
+
+        # Every spawned node has K edges to older nodes, one of them to a
+        # parent that was metastatic before the step and still is.
+        lo, hi = m.graph._endpoints()
+        new = hi >= n
+        lo, child = lo[new], hi[new] - n
+        assert np.bincount(child, minlength=spawned).tolist() == [cfg.K] * spawned
+        stayed = np.zeros(m.graph.n_nodes, dtype=bool)
+        stayed[:n] = meta & (after[:n] == METASTATIC)
+        assert (np.bincount(child, weights=stayed[lo], minlength=spawned) >= 1).all()
