@@ -7,8 +7,9 @@ plus a count of cells per code. Three control factors in [0, 1] steer the
 dynamics: angiogenesis feeds metastasis and growth, recovery clears
 metastatic cells and wakes quiescent ones, quiescence pushes normal cells
 dormant when angiogenesis is low. agent_step applies one whole step: its
-spawns in one batch, then its transitions, as lookups in one rule table of
-thresholds when at least _ARRAY_MIN cells act and cell by cell otherwise.
+spawns in one batch, then its transitions. Both read one rule table of
+thresholds, as array operations when at least _ARRAY_MIN cells act and cell
+by cell otherwise.
 
 BOUNDS is the one home of every numeric config bound. ModelConfig,
 ControlFactors and sweep.SweepSpec check their fields against it when they
@@ -19,6 +20,7 @@ cli_io hold no bound of their own.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,19 +165,20 @@ class ModelConfig:
 
 # Steps in which at least this many cells act are taken as array operations,
 # smaller ones cell by cell: the array step pays about 20 numpy calls a step,
-# the loop about 0.3 us a cell. Timed as the median of 1,500 interleaved
-# calls on one step, on a 2-core 2.1 GHz Xeon VM (Python 3.11, numpy 2.4),
-# the loop against the arrays took 20 us against 36 us at 36 cells, 36
-# against 33 at 96, 44 against 39 at 113 and 54 against 31 at 190 on
-# spawn-free steps, and 101 against 101 at 97 cells and 138 against 116 at
-# 198 on steps with a spawn per 50 to 75 cells.
-_ARRAY_MIN = 100
+# the loop about 0.3 us a cell. Timed as the median of 1,500 calls on one
+# step, interleaved in shuffled blocks of 50, on a 2-core 2.1 GHz Xeon VM
+# (Python 3.11, numpy 2.4), the loop against the arrays took 33 us against
+# 60 at 36 cells, 39 against 39 at 56, 43 against 39 at 64, 63 against 62
+# at 96 and 81 against 44 at 190 on spawn-free steps, and 103 against 111
+# at 36 cells, 120 against 118 at 56, 127 against 121 at 64 and 114
+# against 111 at 96 on steps with a spawn per 50 to 75 cells.
+_ARRAY_MIN = 64
 
-# The array step's outcome codes: code 4 * s + r for a cell in state s whose
-# uniform reaches r of its three thresholds in the rule table. _NEXT[code] is
-# the state it takes, and _MOVES[code] = (s, _NEXT[code]) moves it in the
-# counts. A uniform reaches no 2.0 sentinel, so codes 6, 7 and 11 do not
-# occur.
+# The outcome codes of both step paths: code 4 * s + r for a cell in state s
+# whose uniform reaches r of its three thresholds in the rule table.
+# _NEXT[code] is the state it takes, and _MOVES[code] = (s, _NEXT[code])
+# moves it in the counts. A uniform reaches no 2.0 sentinel, so codes 6, 7
+# and 11 do not occur.
 _NEXT = np.array([
     QUIESCENT, METASTATIC, DEAD, NORMAL,  # normal
     NORMAL, QUIESCENT, QUIESCENT, QUIESCENT,  # quiescent
@@ -204,13 +207,11 @@ class Model:
         self.schedule_rng = rng.substream("schedule")
         self._trans_rng = rng.substream("transitions")
         self._growth_rng = rng.substream("growth")
-        f = config.factors
-        self._spawn_below = f.recovery + (1.0 - f.recovery) * f.angiogenesis * config.spawn_rate
-        self._q_eff = f.quiescence * (1.0 - f.angiogenesis)
-        # From _threshold_table: a normal cell's (t2, t3) rows by degree, and
-        # the array step's rule table, the columns a, b and c.
-        self._rows: tuple[tuple[float, float], ...] = ()
-        self._a = self._b = self._c = np.empty(0)
+        # The rule table of _threshold_table: its rows, read by the cell loop
+        # and both spawn checks, and its columns a, b and c, read by the
+        # array step. Sized now, so its metastatic row exists at step 1.
+        self._rows: tuple[tuple[float, float, float], ...] = ()
+        self._thresholds(0)
         # _spawn's act-order stamps by node, grown with the graph, and the
         # stamp its next call starts from; an older stamp is out of date.
         self._act_at = np.zeros(0, dtype=np.int64)
@@ -233,50 +234,48 @@ class Model:
 
     def _thresholds(self, max_deg: int) -> None:
         """Make the threshold table cover degree max_deg, doubling it."""
-        if max_deg >= len(self._rows):
+        if max_deg >= len(self._rows) // 3:
             cfg = self.config
-            f = cfg.factors
             self._rows, self._a, self._b, self._c = _threshold_table(
-                self._q_eff, f.angiogenesis, cfg.metastasis_rate, cfg.K, cfg.apoptosis_rate,
-                f.recovery, self._spawn_below, 1 << max_deg.bit_length(),
+                cfg.factors, cfg.K, cfg.spawn_rate, cfg.metastasis_rate, cfg.apoptosis_rate,
+                1 << max_deg.bit_length(),
             )
 
 
 @functools.lru_cache(maxsize=64)
-def _threshold_table(q_eff: float, angiogenesis: float, metastasis_rate: float, K: int,
-                     apoptosis_rate: float, recovery: float, spawn_below: float,
-                     size: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
-    """The thresholds of every live cell at degrees 0..size-1.
-
-    A normal cell at degree d turns quiescent below q_eff, metastasizes
-    below t2 and dies below t3, where (t2, t3) = rows[d]; a quiescent or
-    metastatic cell recovers below recovery. Returns rows, for the cell
-    loop, and the rule table of the array step: the columns a, b and c,
-    whose row s * size + d holds the thresholds of a cell in state s at
-    degree d, ascending:
+def _threshold_table(factors: ControlFactors, K: int, spawn_rate: float, metastasis_rate: float,
+                     apoptosis_rate: float, size: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The rule table of every live cell at degrees 0..size-1: rows, and its
+    columns a, b and c. Row s * size + d holds the thresholds of a cell in
+    state s at degree d, ascending:
 
       normal: (q_eff, t2, t3)
       quiescent: (recovery, 2.0, 2.0)
       metastatic: (recovery, spawn_below, 2.0)
 
-    Each threshold is the one before it plus a product of non-negative
-    floats, so it is not below it, and 2.0 lies above every uniform. So the
-    number of thresholds a uniform reaches names the branch the cell loop
-    takes on the same floats. Models with the same factors share the table
-    (a sweep has a few for its 1,350 runs), so the arrays are read-only.
+    A normal cell turns quiescent below q_eff, metastasizes below t2 and
+    dies below t3, which depend on its degree; a quiescent or metastatic
+    cell recovers below recovery, and a metastatic one spawns below
+    spawn_below. Each threshold is the one before it plus a product of
+    non-negative floats, so it is not below it: every row ascends, as
+    bisect_right in the cell loop needs, and 2.0 lies above every uniform.
+    So the number of thresholds a uniform reaches, which the array step
+    counts and bisect_right finds, names the rule that applies. Models with
+    the same factors share the table (fig4's 1,350 runs share 9), so the
+    arrays are read-only.
     """
-    rows = []
+    recovery, angiogenesis = factors.recovery, factors.angiogenesis
+    spawn_below = recovery + (1.0 - recovery) * angiogenesis * spawn_rate
+    q_eff = factors.quiescence * (1.0 - angiogenesis)
+    normal = []
     for deg in range(size):
         m_eff = min(1.0, angiogenesis * metastasis_rate * deg / K)
         t2 = q_eff + (1.0 - q_eff) * m_eff
-        rows.append((t2, t2 + (1.0 - q_eff) * (1.0 - m_eff) * apoptosis_rate))
-    t2s, t3s = zip(*rows)
-    a = np.repeat([q_eff, recovery, recovery], size)
-    b = np.concatenate([t2s, np.full(size, 2.0), np.full(size, spawn_below)])
-    c = np.concatenate([t3s, np.full(2 * size, 2.0)])
-    for col in (a, b, c):
-        col.flags.writeable = False
-    return tuple(rows), a, b, c
+        normal.append((q_eff, t2, t2 + (1.0 - q_eff) * (1.0 - m_eff) * apoptosis_rate))
+    rows = (*normal, *[(recovery, 2.0, 2.0)] * size, *[(recovery, spawn_below, 2.0)] * size)
+    columns = np.array(rows).T.copy()
+    columns.flags.writeable = False
+    return rows, *columns
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -328,11 +327,13 @@ def agent_step(model: Model, ids: list[int] | np.ndarray) -> None:
     and whether a metastatic cell spawns depends only on its uniform. So
     every step spawns first, in one graph_core.add_nodes_linked batch that
     makes the same growth draws as spawning one by one in activation order.
-    Then the transitions apply. A step of at least _ARRAY_MIN cells looks up
-    each cell's three thresholds in the rule table of _threshold_table and
-    counts those its uniform reaches; a smaller one runs the rules above
-    cell by cell. Both compare the same uniforms against the same threshold
-    floats, so they agree.
+    Then the transitions apply. The rule table of _threshold_table holds the
+    three thresholds of each state and degree, and the number of them a
+    cell's uniform reaches names its next state. A step of at least
+    _ARRAY_MIN cells counts them as array operations; a smaller one finds
+    them with bisect_right, cell by cell. Both read the same table rows with
+    the same uniforms, so they agree, and both take the spawn rule's
+    thresholds from its metastatic row.
     """
     ids = np.asarray(ids, dtype=np.intp)
     m = len(ids)
@@ -353,16 +354,16 @@ def _array_step(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
     counts = model.counts
     if counts[DEAD] and s.max() == DEAD:
         raise _dead_cell(ids, np.flatnonzero(s == DEAD)[0])
-    recovery = model.config.factors.recovery
     # act_deg[k]: the degree of cell ids[k] as it acts.
     act_deg = model.graph._deg[ids]
     if counts[METASTATIC]:
-        spawners = np.flatnonzero((s == METASTATIC) & (u >= recovery) & (u < model._spawn_below))
+        recovery, spawn_below = model._rows[-1][:2]
+        spawners = np.flatnonzero((s == METASTATIC) & (u >= recovery) & (u < spawn_below))
         if spawners.size:
             act_deg += _spawn(model, ids, spawners)
     model._thresholds(int(act_deg.max()))
     # The row of each cell in the rule table, and the thresholds u reaches.
-    key = np.multiply(s, len(model._rows), dtype=np.intp)
+    key = np.multiply(s, len(model._rows) // 3, dtype=np.intp)
     key += act_deg
     code = 4 * s + (u >= model._a[key]) + (u >= model._b[key]) + (u >= model._c[key])
     model._state[ids] = _NEXT[code]
@@ -380,39 +381,22 @@ def _cell_loop(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
     ids_list, xs = ids.tolist(), u.tolist()
     degrees = model.graph._deg[ids]
     counts = model.counts
-    recovery = model.config.factors.recovery
     if counts[METASTATIC]:
-        spawn_below = model._spawn_below
+        recovery, spawn_below = model._rows[-1][:2]
         spawners = [k for k, s in enumerate(states) if s == METASTATIC and recovery <= xs[k] < spawn_below]
         if spawners:
             degrees += _spawn(model, ids, np.array(spawners))
     degrees = degrees.tolist()
     model._thresholds(max(degrees, default=0))
-    below = model._rows
-    q_eff = model._q_eff
+    rows = model._rows
+    size = len(rows) // 3
     state = model._state
-    for k, (s, x) in enumerate(zip(states, xs)):
-        if s == NORMAL:
-            t2, t3 = below[degrees[k]]
-            if x < q_eff:
-                new = QUIESCENT
-            elif x < t2:
-                new = METASTATIC
-            elif x < t3:
-                new = DEAD
-            else:
-                continue
-        elif s == METASTATIC:
-            if x >= recovery:
-                continue
-            new = DEAD
-        else:
-            if x >= recovery:
-                continue
-            new = NORMAL
-        state[ids_list[k]] = new
-        counts[s] -= 1
-        counts[new] += 1
+    for i, s, x, d in zip(ids_list, states, xs, degrees):
+        old, new = _MOVES[4 * s + bisect_right(rows[s * size + d], x)]
+        if new != old:
+            state[i] = new
+            counts[old] -= 1
+            counts[new] += 1
 
 
 def _spawn(model: Model, ids: np.ndarray, spawners: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import copy
 import statistics
+from bisect import bisect_right
 from collections import Counter
 from unittest import mock
 
@@ -287,10 +288,11 @@ class TestAgentStep:
             for i in range(22, 26):
                 _set_state(m, i, METASTATIC)
             m._thresholds(int(m.graph.degrees.max()))
-            q_eff, recovery, spawn_below = m._q_eff, cfg.factors.recovery, m._spawn_below
-            t2, t3 = zip(*(m._rows[m.graph.degrees[cell]] for cell in range(6)))
+            rows, size = m._rows, len(m._rows) // 3
+            q_eff, (recovery, spawn_below) = rows[0][0], rows[2 * size][:2]
+            t2, t3 = zip(*(rows[m.graph.degrees[cell]][1:] for cell in range(6)))
             assert all(q_eff < t2[cell] < t3[cell] for cell in range(6))
-            assert m.graph.degrees[30] == 0 and m._rows[0][0] == q_eff
+            assert m.graph.degrees[30] == 0 and rows[0][1] == q_eff
             cases = [  # (cell, uniform, state after)
                 (0, below(q_eff), QUIESCENT), (1, q_eff, METASTATIC),
                 (2, below(t2[2]), METASTATIC), (3, t2[3], DEAD),
@@ -412,6 +414,37 @@ class TestAgentStep:
                 assert m.graph.degrees[1] == 1
                 outcomes.add(int(m.state[1]))
             assert outcomes == {NORMAL, METASTATIC}
+
+
+class TestThresholdTable:
+    UNIT = st.floats(0.0, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(factors=st.builds(ControlFactors, UNIT, UNIT, UNIT), K=st.integers(1, 10),
+           rates=st.tuples(UNIT, UNIT, UNIT), size=st.integers(1, 64))
+    @example(factors=ControlFactors(0.0, 0.0, 0.0), K=1, rates=(0.0, 0.0, 0.0), size=1)
+    @example(factors=ControlFactors(1.0, 1.0, 1.0), K=1, rates=(1.0, 1.0, 1.0), size=8)
+    @example(factors=ControlFactors(1.0, 0.0, 0.0), K=4, rates=(1.0, 1.0, 1.0), size=16)
+    def test_rows_ascend_and_match_the_columns(self, factors, K, rates, size):
+        rows, a, b, c = tumor_model._threshold_table(factors, K, *rates, size)
+        assert len(rows) == 3 * size
+        # bisect_right in the cell loop and the array step's count both
+        # rely on every row ascending.
+        assert all(t1 <= t2 <= t3 for t1, t2, t3 in rows)
+        # Only a normal cell's t2 and t3 depend on its degree.
+        assert {row[0] for row in rows[:size]} == {rows[0][0]}
+        assert set(rows[size:2 * size]) == {(factors.recovery, 2.0, 2.0)}
+        metastatic = set(rows[2 * size:])
+        assert len(metastatic) == 1 and metastatic.pop()[::2] == (factors.recovery, 2.0)
+        # The 2.0 sentinels lie above every uniform, up to the largest
+        # random() returns, so codes 6, 7 and 11 do not occur.
+        top = float(np.nextafter(1.0, 0.0))
+        codes = {4 * (k // size) + bisect_right(row, top) for k, row in enumerate(rows)}
+        assert not codes & {6, 7, 11}
+        # The array step's columns are the rows'.
+        for column, values in zip((a, b, c), zip(*rows)):
+            assert column.tolist() == list(values)
+            assert not column.flags.writeable
 
 
 class TestSpawning:
