@@ -263,10 +263,6 @@ def summarize_run(
     }
 
 
-def write_summary(summary: dict, path: str | Path) -> None:
-    _write_text((path, json.dumps(summary) + "\n"))
-
-
 def format_sweep_summary(cells: list[CellAggregate]) -> str:
     lines = [SWEEP_SUMMARY_HEADER]
     for c in cells:
@@ -498,8 +494,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     model = tumor_model.init_model(config)
     series = engine.run(model, config.max_steps)
     wall = time.perf_counter() - started
-    write_run_csv(series, out_dir / "run.csv")
-    write_summary(summarize_run(series, config.seed, seed_defaulted, wall), out_dir / "summary.json")
+    summary = summarize_run(series, config.seed, seed_defaulted, wall)
+    _write_text(
+        (out_dir / "run.csv", format_run_csv(series)),
+        (out_dir / "summary.json", json.dumps(summary) + "\n"),
+    )
     final = series.records[-1]
     print(
         f"run finished: {final.step} steps, termination={series.termination}, "

@@ -8,13 +8,10 @@ The engine is generic over the model object it drives. A model must expose:
     step_count     int, number of completed steps
     records        list the engine appends StepRecords to
     schedule_rng   numpy Generator used only for activation order
-    live_ids()     ids of live agents in ascending order, as a list or an
-                   int array
-    activate(live, order)
-                   apply one step's transitions: live is what live_ids()
-                   returned and order a permutation array of its positions,
-                   and the agents live[k] for k in order act once each, in
-                   that order; called once per step, unless live is empty
+    live_ids()     ids of live agents in ascending order, as an int array
+    activate(ids)  apply one step's transitions: the agents ids, an int
+                   array, act once each, in that order; called once per
+                   step, unless no agent is live
     state_counts() (normal, quiescent, metastatic, dead) tallies
 
 Keeping the loop separate from the cell rules means scheduling and
@@ -132,11 +129,11 @@ def step(model) -> StepRecord:
     The live set is snapshotted before any activation, so agents spawned
     during the step wait for the next one. The permutation comes from the
     model's "schedule" stream and is the only randomness consumed here; the
-    model gets the live ids and the permutation in one activate() call.
+    model gets the permuted live ids in one activate() call.
     """
     live = model.live_ids()
     if len(live):
-        model.activate(live, model.schedule_rng.permutation(len(live)))
+        model.activate(live[model.schedule_rng.permutation(len(live))])
     model.step_count += 1
     record = collect(model)
     model.records.append(record)

@@ -2,8 +2,8 @@
 
 Every run in a sweep gets its own seed (base_seed + run index), executes as
 an ordinary single-threaded simulation, and reports back a RunOutcome, the
-run's row of runs.csv. Results are sorted into canonical order before
-aggregation, so the worker count can never show up in the output.
+run's row of runs.csv. Results reach aggregation in canonical order, so
+the worker count can never show up in the output.
 aggregate is the only path from run records to the per-cell table: the
 sweep applies it to its outcomes and `tumornet analyze` to the records it
 reads back from runs.csv, so both write the same summary.csv.
@@ -12,6 +12,7 @@ reads back from runs.csv, so both write the same summary.csv.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import statistics
 from concurrent import futures
@@ -77,13 +78,7 @@ class SweepSpec:
 
     @property
     def n_cells(self) -> int:
-        return (
-            len(self.csc_counts)
-            * len(self.angiogenesis_values)
-            * len(self.recovery_values)
-            * len(self.quiescence_values)
-            * len(self.K_values)
-        )
+        return math.prod(len(getattr(self, name)) for name in _GRID)
 
     @property
     def n_runs(self) -> int:
@@ -151,8 +146,8 @@ class SweepResult:
     workers: int
 
 
-def expand(spec: SweepSpec) -> list[tuple[ModelConfig, int]]:
-    """List every run as (config, run_id) in canonical order.
+def expand(spec: SweepSpec) -> list[ModelConfig]:
+    """Every run's config in canonical order; run i is the i-th.
 
     Run i uses seed base_seed + i, so seeds never collide within a sweep
     and the mapping is stable enough to document. Derived densities sit
@@ -160,29 +155,21 @@ def expand(spec: SweepSpec) -> list[tuple[ModelConfig, int]]:
     configs opt into a disconnected start; the engine then ends each run
     as soon as that start is observed.
     """
-    plans: list[tuple[ModelConfig, int]] = []
-    run_id = 0
-    cells = itertools.product(
-        spec.csc_counts,
-        spec.angiogenesis_values,
-        spec.recovery_values,
-        spec.quiescence_values,
-        spec.K_values,
-    )
-    for n0, ang, rec, qui, k in cells:
+    configs: list[ModelConfig] = []
+    for n0, ang, rec, qui, k in itertools.product(*(getattr(spec, name) for name in _GRID)):
         factors = ControlFactors(angiogenesis=ang, recovery=rec, quiescence=qui)
         for _ in range(spec.seeds_per_cell):
-            config = ModelConfig(
-                n_initial=n0,
-                K=k,
-                factors=factors,
-                max_steps=spec.max_steps,
-                seed=spec.base_seed + run_id,
-                allow_below_threshold=True,
+            configs.append(
+                ModelConfig(
+                    n_initial=n0,
+                    K=k,
+                    factors=factors,
+                    max_steps=spec.max_steps,
+                    seed=spec.base_seed + len(configs),
+                    allow_below_threshold=True,
+                )
             )
-            plans.append((config, run_id))
-            run_id += 1
-    return plans
+    return configs
 
 
 def final_fields(series: TimeSeries) -> dict:
@@ -209,8 +196,12 @@ def final_fields(series: TimeSeries) -> dict:
     }
 
 
-def _execute(task: tuple[int, int, ModelConfig, str | None]):
-    """Run one cell seed; errors travel back as values so the parent can name them."""
+def _execute(task: tuple[int, int, ModelConfig, str | Path | None]) -> RunOutcome:
+    """Run one cell seed, given as (run_id, cell_id, config, runs_dir).
+
+    Any failure raises SweepError naming the run, its cell and its seed. The
+    error carries only that message, so it pickles back from a pool worker.
+    """
     run_id, cell_id, config, runs_dir = task
     try:
         model = tumor_model.init_model(config)
@@ -233,53 +224,44 @@ def _execute(task: tuple[int, int, ModelConfig, str | None]):
             **fields,
         )
     except Exception as exc:
-        return ("error", run_id, config.seed, f"{type(exc).__name__}: {exc}")
+        raise SweepError(
+            f"run {run_id} (cell {cell_id}, seed {config.seed}) failed: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = None) -> SweepResult:
     """Execute the whole grid and aggregate it.
 
     The result is identical for any worker count: runs are independent,
-    seeded from the spec alone, and sorted by run_id before aggregation.
+    seeded from the spec alone, and reach aggregation in run_id order.
     With runs_dir set, each run's full time series lands there as
     run<id>.csv. No more processes start than there are runs or CPUs
     (os.cpu_count()), and the result records the worker count used. One
     worker runs the grid in run_id order. A pool gets the runs with the
     largest n_initial first, in run_id order among equals: graph cost grows
-    with n, so the cheap runs fill the tail and the workers finish together.
-    The first failed run in that order aborts the sweep and is named; it,
-    or an interrupt, cancels the runs not yet started.
+    with n, so the cheap runs fill the tail and the workers finish together;
+    its outcomes are sorted back into run_id order. The SweepError of the
+    first failed run in dispatch order, raised by _execute, aborts the
+    sweep; it, or an interrupt, cancels the runs not yet started.
     """
     check_bound("workers", workers)
-    plans = expand(spec)
-    dir_arg = str(runs_dir) if runs_dir is not None else None
     tasks = [
-        (run_id, run_id // spec.seeds_per_cell, config, dir_arg)
-        for config, run_id in plans
+        (run_id, run_id // spec.seeds_per_cell, config, runs_dir)
+        for run_id, config in enumerate(expand(spec))
     ]
     workers = min(workers, len(tasks), os.cpu_count() or len(tasks))
-    pool = None
     if workers == 1:
-        results = map(_execute, tasks)
+        outcomes = list(map(_execute, tasks))
     else:
         tasks.sort(key=lambda task: task[2].n_initial, reverse=True)  # stable
         pool = futures.ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_execute, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
-    outcomes: list[RunOutcome] = []
-    try:
-        for item in results:
-            if isinstance(item, tuple):
-                _, run_id, seed, message = item
-                cell_id = run_id // spec.seeds_per_cell
-                raise SweepError(f"run {run_id} (cell {cell_id}, seed {seed}) failed: {message}")
-            outcomes.append(item)
-    except BaseException:
-        if pool is not None:  # cancel the chunks not yet started rather than wait for them
+        try:
+            outcomes = list(pool.map(_execute, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
+        except BaseException:  # cancel the chunks not yet started rather than wait for them
             pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    if pool is not None:
+            raise
         pool.shutdown()
-    outcomes.sort(key=lambda o: o.run_id)
+        outcomes.sort(key=attrgetter("run_id"))
     return SweepResult(runs=outcomes, cells=aggregate(outcomes), workers=workers)
 
 

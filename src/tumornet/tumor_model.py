@@ -228,9 +228,9 @@ class Model:
     def state_counts(self) -> tuple[int, int, int, int]:
         return tuple(self.counts)
 
-    def activate(self, live: np.ndarray, order: np.ndarray) -> None:
-        """Act the cells live[k] for k in order, once each, in that order."""
-        agent_step(self, live[order])
+    def activate(self, ids: np.ndarray) -> None:
+        """Act the cells ids, once each, in that order, through agent_step."""
+        agent_step(self, ids)
 
     def _thresholds(self, max_deg: int) -> None:
         """Make the threshold table cover degree max_deg, doubling it."""

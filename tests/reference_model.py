@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from reference_graph import grow
 from tumornet import graph_core, tumor_model
 from tumornet.engine import RngStream
@@ -51,15 +53,16 @@ class ReferenceModel:
         self._counts = {state: 0 for state in CellState}
         self._counts[CellState.NORMAL] = len(self.agents)
 
-    def live_ids(self) -> list[int]:
-        return [a.agent_id for a in self.agents if a.state is not CellState.DEAD]
+    def live_ids(self) -> np.ndarray:
+        ids = [a.agent_id for a in self.agents if a.state is not CellState.DEAD]
+        return np.array(ids, dtype=np.intp)
 
     def state_counts(self) -> tuple[int, int, int, int]:
         return tuple(self._counts[s] for s in CellState)
 
-    def activate(self, live: list[int], order) -> None:
-        for k in order.tolist():
-            agent_step(self.agents[live[k]], self)
+    def activate(self, ids: np.ndarray) -> None:
+        for agent_id in ids.tolist():
+            agent_step(self.agents[agent_id], self)
 
     def set_state(self, agent: CellAgent, new_state: CellState) -> None:
         self._counts[agent.state] -= 1

@@ -1,5 +1,6 @@
 """Config parsing, file formats, SVG rendering, and the CLI surface."""
 
+import errno
 import io
 import json
 import os
@@ -30,7 +31,6 @@ from tumornet.cli_io import (
     plot_svg,
     read_sweep_runs,
     summarize_run,
-    write_summary,
 )
 from tumornet.engine import StepRecord, TimeSeries, run
 from tumornet.sweep import RunOutcome, SweepSpec, aggregate, run_sweep
@@ -266,11 +266,9 @@ class TestRunSummary:
         assert summary["wall_clock_s"] == 0.123
 
     def test_single_line_json(self, tmp_path):
-        cfg = parse_config(CONNECTED_CONFIG)
-        series = run(init_model(cfg), cfg.max_steps)
-        path = tmp_path / "summary.json"
-        write_summary(summarize_run(series, 3, False, 0.0), path)
-        text = path.read_text()
+        config = _write(tmp_path / "run.cfg", CONNECTED_CONFIG)
+        assert _cli(["run", "--config", config, "--out", str(tmp_path)])[0] == 0
+        text = (tmp_path / "summary.json").read_text()
         assert text.endswith("\n") and text.count("\n") == 1
         assert json.loads(text)["seed"] == 3
 
@@ -299,14 +297,14 @@ class TestAtomicWrite:
 
     def test_failed_replace_keeps_the_earlier_file(self, tmp_path, monkeypatch):
         path = tmp_path / "summary.json"
-        write_summary({"seed": 1}, path)
+        _write_text((path, '{"seed": 1}\n'))
 
         def refuse(src, dst):
             raise OSError("no space left on device")
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="no space left"):
-            write_summary({"seed": 2}, path)
+            _write_text((path, '{"seed": 2}\n'))
         assert self._left(tmp_path) == {"summary.json": '{"seed": 1}\n'}
 
     def test_failed_second_write_keeps_both_earlier_files(self, tmp_path):
@@ -652,6 +650,27 @@ class TestCli:
         assert (sweep_dir / "run00000.csv").exists()
         assert (sweep_dir / "run00001.csv").exists()
 
+    def test_sweep_failed_run_in_a_pool_exits_3(self, tmp_path, monkeypatch):
+        # Run 0's per-run file is taken by a directory, so that run fails in
+        # a worker process and its error crosses back to the parent. Two
+        # CPUs, so that a real pool starts on any machine.
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        spec = _write(
+            tmp_path / "grid.cfg",
+            "csc_counts=40\nseeds_per_cell=12\nbase_seed=100\nmax_steps=10\n",
+        )
+        sweep_dir = tmp_path / "sweep"
+        (sweep_dir / "run00000.csv").mkdir(parents=True)
+        code, _, err = _cli(
+            ["sweep", "--spec", spec, "--out", str(sweep_dir), "--workers", "2", "--keep-runs"]
+        )
+        assert code == 3
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: run 0 (cell 0, seed 100) failed: InputError: cannot write ")
+        # How many per-run files are kept depends on when the cancel lands.
+        assert not (sweep_dir / "summary.csv").exists()
+        assert not (sweep_dir / "runs.csv").exists()
+
     def test_sweep_invalid_spec(self, tmp_path):
         spec = _write(tmp_path / "grid.cfg", "csc_counts=\n")
         code, _, err = _cli(["sweep", "--spec", spec, "--out", str(tmp_path / "s")])
@@ -786,6 +805,24 @@ class TestCli:
         code, _, err = _cli(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error: config file is not a file" in err and "Traceback" not in err
+
+    def test_run_failed_write_keeps_both_earlier_files(self, tmp_path, monkeypatch):
+        config = _write(tmp_path / "run.cfg", CONNECTED_CONFIG)
+        out_dir = tmp_path / "out"
+        assert _cli(["run", "--config", config, "--out", str(out_dir)])[0] == 0
+        earlier = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        write_text = Path.write_text
+
+        def no_space_for_the_summary(path, text, *args, **kwargs):
+            if path.name.startswith(".summary.json."):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", no_space_for_the_summary)
+        code, _, err = _cli(["run", "--config", config, "--out", str(out_dir), "--seed", "9"])
+        assert code == 3
+        assert "No space left on device" in err and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
 
     def test_run_out_that_is_a_file(self, tmp_path):
         config = _write(tmp_path / "run.cfg", CONNECTED_CONFIG)

@@ -41,11 +41,11 @@ class StubModel:
         self.on_activate = None
 
     def live_ids(self):
-        return sorted(i for i, ok in self.alive.items() if ok)
+        return np.array(sorted(i for i, ok in self.alive.items() if ok), dtype=np.intp)
 
-    def activate(self, live, order):
+    def activate(self, ids):
         self.activate_calls += 1
-        for agent_id in [live[k] for k in order.tolist()]:
+        for agent_id in ids.tolist():
             self.activation_log.append((self.step_count, agent_id))
             if self.on_activate is not None:
                 self.on_activate(self, agent_id)

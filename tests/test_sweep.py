@@ -102,28 +102,25 @@ class TestExpand:
             angiogenesis_values=(0.1, 0.5, 0.9),
             seeds_per_cell=5,
         )
-        plans = expand(spec)
-        assert len(plans) == 30
-        assert [run_id for _, run_id in plans] == list(range(30))
+        configs = expand(spec)
+        assert len(configs) == 30
         # csc outermost, angiogenesis next, seeds innermost.
-        assert plans[0][0].n_initial == 10 and plans[0][0].factors.angiogenesis == 0.1
-        assert plans[5][0].factors.angiogenesis == 0.5
-        assert plans[15][0].n_initial == 20
+        assert configs[0].n_initial == 10 and configs[0].factors.angiogenesis == 0.1
+        assert configs[5].factors.angiogenesis == 0.5
+        assert configs[15].n_initial == 20
 
     def test_seed_assignment(self):
-        plans = expand(_tiny_spec(base_seed=1000))
-        seeds = [config.seed for config, _ in plans]
+        seeds = [config.seed for config in expand(_tiny_spec(base_seed=1000))]
         assert seeds == list(range(1000, 1012))
         assert len(set(seeds)) == len(seeds)
 
     def test_single_cell(self):
-        plans = expand(SweepSpec(csc_counts=(50,), seeds_per_cell=1))
-        assert len(plans) == 1
-        cfg = plans[0][0]
-        assert cfg.n_initial == 50 and cfg.seed == 0
+        configs = expand(SweepSpec(csc_counts=(50,), seeds_per_cell=1))
+        assert len(configs) == 1
+        assert configs[0].n_initial == 50 and configs[0].seed == 0
 
     def test_expanded_configs_opt_into_disconnected_start(self):
-        assert all(cfg.allow_below_threshold for cfg, _ in expand(_tiny_spec()))
+        assert all(cfg.allow_below_threshold for cfg in expand(_tiny_spec()))
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):
@@ -358,9 +355,9 @@ class TestFig4Preset:
         assert spec.max_steps == 500
 
     def test_expandable(self):
-        plans = expand(fig4_spec(seeds_per_cell=2))
-        assert len(plans) == 90
-        assert plans[0][0].seed == 42
+        configs = expand(fig4_spec(seeds_per_cell=2))
+        assert len(configs) == 90
+        assert configs[0].seed == 42
 
     def test_registered_preset(self):
         assert set(PRESETS) == {"fig4"}
