@@ -81,17 +81,19 @@ def _read_text(path: str | Path, what: str) -> str:
 def _write_text(*files: tuple[str | Path, str]) -> None:
     """Write each (path, text) pair atomically and together.
 
-    Every text goes to a temp file beside its path first; only then is each
-    temp file renamed into place with os.replace. A failure removes the temp
-    files and leaves any earlier file at each path whole, so no output is
-    ever left half-written, and a failure before the first rename changes
-    none of the paths. A path that is a directory, or whose parent is a
-    file, is an InputError.
+    Each path is checked and its text goes to a temp file beside it; only
+    then is each temp file renamed into place with os.replace. A failure
+    removes the temp files and leaves any earlier file at each path whole,
+    so no output is ever left half-written. A path that is a directory, or
+    whose parent is a file, is an InputError raised before the first
+    rename; a failure before the first rename changes none of the paths.
     """
     moves: list[tuple[Path, Path]] = []
     try:
         for path, text in files:
             path = Path(path)
+            if path.is_dir() and not path.is_symlink():  # os.replace would fail only later
+                raise InputError(f"cannot write {path}: Is a directory")
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             moves.append((tmp, path))
             tmp.write_text(text)
@@ -243,10 +245,6 @@ def format_run_csv(series: TimeSeries) -> str:
             f"{r.count_metastatic},{r.count_dead},{r.volume_ratio:.6f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_run_csv(series: TimeSeries, path: str | Path) -> None:
-    _write_text((path, format_run_csv(series)))
 
 
 def summarize_run(
@@ -515,11 +513,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers is not None else _default_workers()
     out_dir = _out_dir(args.out)
     started = time.perf_counter()
-    result = sweep_mod.run_sweep(
-        spec, workers=workers, runs_dir=out_dir if args.keep_runs else None
-    )
+    result = sweep_mod.run_sweep(spec, workers=workers, keep_runs=args.keep_runs)
     elapsed = time.perf_counter() - started
     _write_text(
+        *((out_dir / f"run{run_id:05d}.csv", text) for run_id, text in enumerate(result.run_csvs)),
         (out_dir / "summary.csv", format_sweep_summary(result.cells)),
         (out_dir / "runs.csv", format_sweep_runs(result.runs)),
     )

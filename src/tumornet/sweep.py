@@ -18,7 +18,6 @@ import statistics
 from concurrent import futures
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 
 from . import engine, metrics, tumor_model
 from .engine import TimeSeries
@@ -138,10 +137,11 @@ class CellAggregate:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Outcomes in run_id order, their per-cell aggregates, and the worker
-    count the sweep ran with after run_sweep's clamp."""
+    """Outcomes and, if kept, their run.csv texts, both in run_id order; the
+    per-cell aggregates; and the worker count after run_sweep's clamp."""
 
     runs: list[RunOutcome]
+    run_csvs: list[str]
     cells: list[CellAggregate]
     workers: int
 
@@ -196,20 +196,19 @@ def final_fields(series: TimeSeries) -> dict:
     }
 
 
-def _execute(task: tuple[int, int, ModelConfig, str | Path | None]) -> RunOutcome:
-    """Run one cell seed, given as (run_id, cell_id, config, runs_dir).
+def _execute(task: tuple[int, int, ModelConfig, bool]) -> tuple[RunOutcome, str | None]:
+    """Run one cell seed, given as (run_id, cell_id, config, keep_runs).
 
+    Returns its RunOutcome and, if keep_runs, its run.csv text, else None.
     Any failure raises SweepError naming the run, its cell and its seed. The
     error carries only that message, so it pickles back from a pool worker.
     """
-    run_id, cell_id, config, runs_dir = task
+    run_id, cell_id, config, keep_runs = task
     try:
+        from . import cli_io  # deferred, cli_io imports this module
+
         model = tumor_model.init_model(config)
         series = engine.run(model, config.max_steps)
-        if runs_dir is not None:
-            from . import cli_io  # deferred, cli_io imports this module
-
-            cli_io.write_run_csv(series, Path(runs_dir) / f"run{run_id:05d}.csv")
         fields = final_fields(series)
         fields["tci"] = fields["tci"] or ""
         return RunOutcome(
@@ -222,47 +221,53 @@ def _execute(task: tuple[int, int, ModelConfig, str | Path | None]) -> RunOutcom
             quiescence=config.factors.quiescence,
             seed=config.seed,
             **fields,
-        )
+        ), cli_io.format_run_csv(series) if keep_runs else None
     except Exception as exc:
         raise SweepError(
             f"run {run_id} (cell {cell_id}, seed {config.seed}) failed: {type(exc).__name__}: {exc}"
         ) from None
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1, runs_dir: str | Path | None = None) -> SweepResult:
-    """Execute the whole grid and aggregate it.
+def run_sweep(spec: SweepSpec, workers: int = 1, keep_runs: bool = False) -> SweepResult:
+    """Execute the whole grid and aggregate it; write no file.
 
     The result is identical for any worker count: runs are independent,
-    seeded from the spec alone, and reach aggregation in run_id order.
-    With runs_dir set, each run's full time series lands there as
-    run<id>.csv. No more processes start than there are runs or CPUs
-    (os.cpu_count()), and the result records the worker count used. One
-    worker runs the grid in run_id order. A pool gets the runs with the
-    largest n_initial first, in run_id order among equals: graph cost grows
-    with n, so the cheap runs fill the tail and the workers finish together;
-    its outcomes are sorted back into run_id order. The SweepError of the
+    seeded from the spec alone, and stored at their run_id; with keep_runs
+    it holds their run.csv texts too. At most min(runs, os.cpu_count())
+    processes start, and the result records the count used. One worker runs
+    the grid in run_id order. A pool gets the largest n_initial first, in
+    run_id order among equals: graph cost grows with n, so the cheap runs
+    fill the tail and the workers finish together. The SweepError of the
     first failed run in dispatch order, raised by _execute, aborts the
     sweep; it, or an interrupt, cancels the runs not yet started.
     """
     check_bound("workers", workers)
     tasks = [
-        (run_id, run_id // spec.seeds_per_cell, config, runs_dir)
+        (run_id, run_id // spec.seeds_per_cell, config, keep_runs)
         for run_id, config in enumerate(expand(spec))
     ]
+    runs: list = [None] * len(tasks)
+    run_csvs: list = [None] * len(tasks) if keep_runs else []
+
+    def store(results):  # each at its run_id as it arrives: no second per-run list
+        for outcome, text in results:
+            runs[outcome.run_id] = outcome
+            if keep_runs:
+                run_csvs[outcome.run_id] = text
+
     workers = min(workers, len(tasks), os.cpu_count() or len(tasks))
     if workers == 1:
-        outcomes = list(map(_execute, tasks))
+        store(map(_execute, tasks))
     else:
         tasks.sort(key=lambda task: task[2].n_initial, reverse=True)  # stable
         pool = futures.ProcessPoolExecutor(max_workers=workers)
         try:
-            outcomes = list(pool.map(_execute, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
+            store(pool.map(_execute, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
         except BaseException:  # cancel the chunks not yet started rather than wait for them
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         pool.shutdown()
-        outcomes.sort(key=attrgetter("run_id"))
-    return SweepResult(runs=outcomes, cells=aggregate(outcomes), workers=workers)
+    return SweepResult(runs=runs, run_csvs=run_csvs, cells=aggregate(runs), workers=workers)
 
 
 # The columns every run of one cell shares with its CellAggregate.

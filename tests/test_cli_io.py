@@ -647,29 +647,77 @@ class TestCli:
         sweep_dir = tmp_path / "sweep"
         code, _, _ = _cli(["sweep", "--spec", spec, "--out", str(sweep_dir), "--keep-runs"])
         assert code == 0
-        assert (sweep_dir / "run00000.csv").exists()
-        assert (sweep_dir / "run00001.csv").exists()
+        names = sorted(p.name for p in sweep_dir.iterdir())
+        assert names == ["run00000.csv", "run00001.csv", "runs.csv", "summary.csv"]
+        # A kept run is the run.csv that `tumornet run` writes for its config.
+        c = sweep.expand(parse_sweep_spec(Path(spec).read_text()))[0]
+        config = _write(
+            tmp_path / "run0.cfg",
+            f"n_initial={c.n_initial}\nK={c.K}\nangiogenesis={c.factors.angiogenesis}\n"
+            f"recovery={c.factors.recovery}\nquiescence={c.factors.quiescence}\n"
+            f"max_steps={c.max_steps}\nseed={c.seed}\n",
+        )
+        run_dir = tmp_path / "run0"
+        code, _, _ = _cli(
+            ["run", "--config", config, "--out", str(run_dir), "--allow-below-threshold"]
+        )
+        assert code == 0
+        kept = (sweep_dir / "run00000.csv").read_bytes()
+        assert kept == (run_dir / "run.csv").read_bytes()
+        assert kept.count(b"\n") > 3  # the run lasts more than one step
+
+    def _failing_engine_run(self, monkeypatch, seed):
+        """Make engine.run raise for one seed, also in the forked pool workers,
+        and report two CPUs, so that a real pool starts on any machine."""
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        original = sweep.engine.run
+
+        def failing_run(model, max_steps):
+            if model.config.seed == seed:
+                raise ValueError("cell exploded")
+            return original(model, max_steps)
+
+        monkeypatch.setattr(sweep.engine, "run", failing_run)
 
     def test_sweep_failed_run_in_a_pool_exits_3(self, tmp_path, monkeypatch):
-        # Run 0's per-run file is taken by a directory, so that run fails in
-        # a worker process and its error crosses back to the parent. Two
-        # CPUs, so that a real pool starts on any machine.
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        # Run 0 fails in a worker process and its error crosses back to the
+        # parent.
+        self._failing_engine_run(monkeypatch, seed=100)
         spec = _write(
             tmp_path / "grid.cfg",
             "csc_counts=40\nseeds_per_cell=12\nbase_seed=100\nmax_steps=10\n",
         )
         sweep_dir = tmp_path / "sweep"
-        (sweep_dir / "run00000.csv").mkdir(parents=True)
+        sweep_dir.mkdir()
         code, _, err = _cli(
             ["sweep", "--spec", spec, "--out", str(sweep_dir), "--workers", "2", "--keep-runs"]
         )
         assert code == 3
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert err.startswith("error: run 0 (cell 0, seed 100) failed: InputError: cannot write ")
-        # How many per-run files are kept depends on when the cancel lands.
-        assert not (sweep_dir / "summary.csv").exists()
-        assert not (sweep_dir / "runs.csv").exists()
+        assert err == "error: run 0 (cell 0, seed 100) failed: ValueError: cell exploded\n"
+        assert list(sweep_dir.iterdir()) == []
+
+    def test_failed_keep_runs_sweep_keeps_the_earlier_sweep(self, tmp_path, monkeypatch):
+        sweep_dir = tmp_path / "sweep"
+        argv = ["--out", str(sweep_dir), "--workers", "2", "--keep-runs"]
+        first = _write(
+            tmp_path / "first.cfg",
+            "csc_counts=40\nseeds_per_cell=12\nbase_seed=100\nmax_steps=10\n",
+        )
+        assert _cli(["sweep", "--spec", first, *argv])[0] == 0
+        earlier = {p.name: p.read_bytes() for p in sweep_dir.iterdir()}
+        assert len(earlier) == 14
+        # The last run fails, so every other run of the second sweep has
+        # finished before the sweep ends.
+        self._failing_engine_run(monkeypatch, seed=511)
+        second = _write(
+            tmp_path / "second.cfg",
+            "csc_counts=40\nseeds_per_cell=12\nbase_seed=500\nmax_steps=10\n",
+        )
+        code, _, err = _cli(["sweep", "--spec", second, *argv])
+        assert code == 3
+        assert err == "error: run 11 (cell 0, seed 511) failed: ValueError: cell exploded\n"
+        assert {p.name: p.read_bytes() for p in sweep_dir.iterdir()} == earlier
 
     def test_sweep_invalid_spec(self, tmp_path):
         spec = _write(tmp_path / "grid.cfg", "csc_counts=\n")
@@ -830,6 +878,43 @@ class TestCli:
         assert code == 2
         assert f"error: output directory is not a directory: {config}" in err
         assert "Traceback" not in err
+
+    def test_run_directory_at_a_later_path_keeps_the_earlier_files(self, tmp_path):
+        # summary.json is renamed after run.csv; its directory is found first.
+        config = _write(tmp_path / "run.cfg", CONNECTED_CONFIG)
+        out_dir = tmp_path / "out"
+        assert _cli(["run", "--config", config, "--out", str(out_dir)])[0] == 0
+        (out_dir / "summary.json").unlink()
+        (out_dir / "summary.json").mkdir()
+        earlier = (out_dir / "run.csv").read_bytes()
+        code, _, err = _cli(["run", "--config", config, "--out", str(out_dir), "--seed", "9"])
+        assert code == 2
+        assert err == f"error: cannot write {out_dir / 'summary.json'}: Is a directory\n"
+        assert (out_dir / "run.csv").read_bytes() == earlier
+        assert sorted(p.name for p in out_dir.iterdir()) == ["run.csv", "summary.json"]
+
+    def test_sweep_directory_at_an_output_path_keeps_the_earlier_files(self, tmp_path):
+        grid = "csc_counts=40\nseeds_per_cell=2\nmax_steps=10\nbase_seed="
+        first = _write(tmp_path / "first.cfg", grid + "5\n")
+        second = _write(tmp_path / "second.cfg", grid + "6\n")
+        out_dir = tmp_path / "sweep"
+        argv = ["--out", str(out_dir), "--keep-runs"]
+        assert _cli(["sweep", "--spec", first, *argv])[0] == 0
+        earlier = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        # runs.csv is renamed last and run00001.csv before summary.csv; a
+        # directory at either is found before any rename.
+        for name in ("runs.csv", "run00001.csv"):
+            taken = dict(earlier)
+            del taken[name]
+            (out_dir / name).unlink()
+            (out_dir / name).mkdir()
+            code, _, err = _cli(["sweep", "--spec", second, *argv])
+            assert code == 2
+            assert err == f"error: cannot write {out_dir / name}: Is a directory\n"
+            left = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+            assert left == taken
+            (out_dir / name).rmdir()
+            (out_dir / name).write_bytes(earlier[name])
 
     def test_sweep_out_that_is_a_file_exits_before_any_run(self, tmp_path, monkeypatch):
         def no_sweep(*args, **kwargs):

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from tumornet import sweep
-from tumornet.cli_io import main
+from tumornet import engine, sweep
+from tumornet.cli_io import format_run_csv, main
 from tumornet.metrics import TciClass
 from tumornet.sweep import (
     PRESETS,
@@ -21,7 +21,7 @@ from tumornet.sweep import (
     run_sweep,
 )
 from tumornet.engine import StepRecord, TimeSeries
-from tumornet.tumor_model import ConfigError
+from tumornet.tumor_model import ConfigError, init_model
 
 
 def _tiny_spec(**kwargs):
@@ -178,13 +178,19 @@ class TestRunSweep:
         assert serial.runs == parallel.runs
         assert serial.cells == parallel.cells
 
-    def test_runs_dir_gets_one_csv_per_run(self, tmp_path):
+    def test_keep_runs_returns_each_runs_csv(self, monkeypatch):
+        # Two CPUs, so that workers=2 starts a real pool on any machine.
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         spec = _tiny_spec(seeds_per_cell=2)
-        run_sweep(spec, runs_dir=tmp_path)
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == [f"run{i:05d}.csv" for i in range(8)]
-        text = (tmp_path / "run00000.csv").read_text()
-        assert text.startswith("step,n_nodes,n_edges,")
+        configs = expand(spec)
+        expected = [format_run_csv(engine.run(init_model(c), c.max_steps)) for c in configs]
+        assert max(text.count("\n") for text in expected) > 3  # some run lasts past step 1
+        for workers in (1, 2):
+            result = run_sweep(spec, workers=workers, keep_runs=True)
+            assert result.workers == workers
+            assert result.run_csvs == expected
+            assert result.runs == run_sweep(spec).runs
+        assert run_sweep(spec).run_csvs == []
 
     def test_invalid_worker_count(self):
         with pytest.raises(ConfigError):
@@ -246,12 +252,20 @@ class TestRunSweep:
         assert [t[0] for t in seen] == [6, 7]
         assert shutdowns == [{"wait": False, "cancel_futures": True}]
 
-    def test_worker_failure_names_the_run(self, tmp_path):
-        # An unwritable runs_dir makes the first worker raise.
-        target = tmp_path / "not_a_dir"
-        target.write_text("occupied")
-        with pytest.raises(SweepError, match=r"run 0 \(cell 0, seed 100\)"):
-            run_sweep(_tiny_spec(), runs_dir=target)
+    def test_worker_failure_names_the_run(self, monkeypatch):
+        # The pool forks, so its workers run the patched engine.run; two
+        # CPUs, so that a real pool starts on any machine.
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        original = sweep.engine.run
+
+        def failing_run(model, max_steps):
+            if model.config.seed == 100:
+                raise ValueError("cell exploded")
+            return original(model, max_steps)
+
+        monkeypatch.setattr(sweep.engine, "run", failing_run)
+        with pytest.raises(SweepError, match=r"run 0 \(cell 0, seed 100\) failed: ValueError: cell exploded"):
+            run_sweep(_tiny_spec(), workers=2, keep_runs=True)
 
 
 class TestAggregate:
