@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 import traceback
@@ -31,7 +32,7 @@ from . import engine, sweep as sweep_mod, tumor_model
 from .engine import TimeSeries
 from .metrics import TciClass
 from .sweep import CellAggregate, RunOutcome, SweepError, SweepSpec
-from .tumor_model import MEDIUM_FACTORS, ConfigError, ModelConfig, factor_level
+from .tumor_model import MEDIUM_FACTORS, ConfigError, ControlFactors, ModelConfig, factor_level
 
 
 class InputError(ValueError):
@@ -107,6 +108,25 @@ def _write_text(*files: tuple[str | Path, str]) -> None:
         raise
 
 
+def _read_table(path: str | Path, header: str, what: str) -> list[list[str]]:
+    """The data rows of a CSV file with this header, blank rows skipped.
+
+    Another header, a row with more or fewer cells than the header, or no
+    data row at all is an InputError.
+    """
+    reader = csv.reader(io.StringIO(_read_text(path, what)))
+    columns = header.split(",")
+    if next(reader, None) != columns:
+        raise InputError(f"{path}: header does not match the expected schema ({header})")
+    rows = [row for row in reader if row]
+    for row in rows:
+        if len(row) != len(columns):
+            raise InputError(f"malformed row in {path}: {row!r}")
+    if not rows:
+        raise InputError(f"no data rows in {path}")
+    return rows
+
+
 def _out_dir(path: str | Path) -> Path:
     """Create an output directory; a file in its place is an InputError."""
     path = Path(path)
@@ -120,10 +140,13 @@ def _out_dir(path: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 # key=value parsing
 #
-# Each file type maps its keys to (converter, what the value must be). The
-# converters only turn text into values; every range rule lives in the
-# dataclass the values build (tumor_model.BOUNDS), and its ConfigError names
-# the field, which is the key, so the parser can name the line.
+# The keys of each file type are the fields of the dataclasses it builds:
+# typing.get_type_hints gives each field's type, which picks its converter
+# and what the value must be (a factor also takes a level name); a field of
+# another type, such as factors, is not a key. The converters only turn text
+# into values; every range rule lives in the dataclass the values build
+# (tumor_model.BOUNDS), and its ConfigError names the field, which is the
+# key, so the parser can name the line.
 
 
 def _level_or_number(factor: str, text: str) -> float:
@@ -133,37 +156,25 @@ def _level_or_number(factor: str, text: str) -> float:
         return float(text)
 
 
-_INT = (int, "an integer")
-_NUMBER = (float, "a number")
-_INTS = (lambda text: tuple(map(int, text.split(","))), "a comma-separated list of integers")
-_NUMBERS = (lambda text: tuple(map(float, text.split(","))), "a comma-separated list of numbers")
-_FACTOR_KEYS = ("angiogenesis", "recovery", "quiescence")
+_CONVERTERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    float | None: (float, "a number"),
+    tuple[int, ...]: (lambda text: tuple(map(int, text.split(","))), "a comma-separated list of integers"),
+    tuple[float, ...]: (lambda text: tuple(map(float, text.split(","))), "a comma-separated list of numbers"),
+}
 
+
+def _key_table(cls: type) -> dict:
+    return {key: _CONVERTERS[t] for key, t in get_type_hints(cls).items() if t in _CONVERTERS}
+
+
+_FACTORS = tuple(get_type_hints(ControlFactors))
 _CONFIG_KEYS = {
-    "n_initial": _INT,
-    "K": _INT,
-    "p": _NUMBER,
-    "spawn_rate": _NUMBER,
-    "metastasis_rate": _NUMBER,
-    "apoptosis_rate": _NUMBER,
-    "max_steps": _INT,
-    "seed": _INT,
-    **{
-        key: (partial(_level_or_number, key), "a number or one of low/medium/high")
-        for key in _FACTOR_KEYS
-    },
+    **_key_table(ModelConfig),
+    **{key: (partial(_level_or_number, key), "a number or one of low/medium/high") for key in _FACTORS},
 }
-
-_SPEC_KEYS = {
-    "csc_counts": _INTS,
-    "angiogenesis_values": _NUMBERS,
-    "recovery_values": _NUMBERS,
-    "quiescence_values": _NUMBERS,
-    "K_values": _INTS,
-    "seeds_per_cell": _INT,
-    "base_seed": _INT,
-    "max_steps": _INT,
-}
+_SPEC_KEYS = _key_table(SweepSpec)
 
 
 def _parse(text: str, keys: dict, required: str, build):
@@ -207,7 +218,7 @@ def _parse(text: str, keys: dict, required: str, build):
 
 
 def _model_config(**values) -> ModelConfig:
-    factors = {key: values.pop(key) for key in _FACTOR_KEYS if key in values}
+    factors = {key: values.pop(key) for key in _FACTORS if key in values}
     return ModelConfig(factors=replace(MEDIUM_FACTORS, **factors), **values)
 
 
@@ -296,16 +307,10 @@ def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
     and at step 0 neither a disconnected ending, which the first step's
     check makes, nor a tci, which needs two records.
     """
-    text = _read_text(path, "runs table")
-    reader = csv.reader(io.StringIO(text))
-    if tuple(next(reader, ())) != _RUN_COLUMNS:
-        raise InputError(f"unexpected runs-table header in {path}")
     runs = []
-    for row in reader:
-        if not row:
-            continue
+    for row in _read_table(path, SWEEP_RUNS_HEADER, "runs table"):
         try:
-            values = [t(v) for t, v in zip(_RUN_COLUMN_TYPES, row, strict=True)]
+            values = [t(v) for t, v in zip(_RUN_COLUMN_TYPES, row)]
         except ValueError:
             raise InputError(f"malformed row in {path}: {row!r}") from None
         run = RunOutcome(**dict(zip(_RUN_COLUMNS, values)))
@@ -331,8 +336,6 @@ def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
         if run.volume_ratio != run.n_edges / run.n_nodes:
             raise InputError(f"volume_ratio is not n_edges / n_nodes in {path}: {row!r}")
         runs.append(run)
-    if not runs:
-        raise InputError(f"no data rows in {path}")
     return runs
 
 
@@ -399,19 +402,6 @@ def _render_chart(x_label: str, y_label: str, series: list[tuple[str, list[tuple
     return "\n".join(parts) + "\n"
 
 
-def _read_csv_rows(path: str | Path, expected_header: str) -> list[dict]:
-    text = _read_text(path, "input file")
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != expected_header.split(","):
-        raise InputError(
-            f"{path}: header does not match the expected schema ({expected_header})"
-        )
-    rows = list(reader)
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    return rows
-
-
 def _finite(text: str) -> float:
     """A CSV cell as a finite float; ValueError for anything else."""
     value = float(text)
@@ -426,19 +416,22 @@ def plot_svg(input_path: str | Path, kind: str, out_path: str | Path) -> None:
     Every plotted cell must be a finite number; a nan or inf would put
     "nan" coordinates into the SVG.
     """
+    header = {"timeseries": RUN_CSV_HEADER, "sweep": SWEEP_SUMMARY_HEADER}.get(kind)
+    if header is None:
+        raise InputError(f"unknown plot kind {kind!r}")
+    columns = header.split(",")
+    rows = [dict(zip(columns, row)) for row in _read_table(input_path, header, "input file")]
     if kind == "timeseries":
-        rows = _read_csv_rows(input_path, RUN_CSV_HEADER)
         try:
             steps = [_finite(r["step"]) for r in rows]
             series = [
                 (col, [(steps[i], _finite(rows[i][col])) for i in range(len(rows))])
                 for col in ("normal", "quiescent", "metastatic", "dead")
             ]
-        except (TypeError, ValueError):
+        except ValueError:
             raise InputError(f"{input_path}: non-numeric or non-finite data row") from None
         svg = _render_chart("step", "count", series)
-    elif kind == "sweep":
-        rows = _read_csv_rows(input_path, SWEEP_SUMMARY_HEADER)
+    else:
         groups: dict[tuple, list[tuple[float, float]]] = {}
         try:
             for r in rows:
@@ -446,7 +439,7 @@ def plot_svg(input_path: str | Path, kind: str, out_path: str | Path) -> None:
                 groups.setdefault(key, []).append(
                     (_finite(r["angiogenesis"]), _finite(r["mean_metastatic_count"]))
                 )
-        except (TypeError, ValueError):
+        except ValueError:
             raise InputError(f"{input_path}: non-numeric or non-finite data row") from None
         multi = len({k[1:] for k in groups}) > 1
         series = []
@@ -456,8 +449,7 @@ def plot_svg(input_path: str | Path, kind: str, out_path: str | Path) -> None:
                 label += f" K={key[1]} r={_fmt_num(key[2])} q={_fmt_num(key[3])}"
             series.append((label, sorted(groups[key])))
         svg = _render_chart("angiogenesis", "mean_metastatic_count", series)
-    else:
-        raise InputError(f"unknown plot kind {kind!r}")
+    _out_dir(Path(out_path).parent)
     _write_text((out_path, svg))
 
 
@@ -505,6 +497,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+_RUN_FILE = re.compile(r"run(\d{5,})\.csv")  # a kept run's file, as _cmd_sweep names it
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.preset:
         spec = sweep_mod.PRESETS[args.preset]()
@@ -512,6 +507,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = parse_sweep_spec(_read_text(args.spec, "sweep spec"))
     workers = args.workers if args.workers is not None else _default_workers()
     out_dir = _out_dir(args.out)
+    # A run file that this sweep would not replace would sit beside a
+    # runs.csv that does not list it.
+    n_kept = spec.n_runs if args.keep_runs else 0
+    stale = [
+        (int(m[1]), path) for path in out_dir.iterdir()
+        if (m := _RUN_FILE.fullmatch(path.name)) and int(m[1]) >= n_kept
+    ]
+    if stale:
+        raise InputError(
+            f"{min(stale)[1]} is from an earlier sweep and this sweep would not replace it; "
+            "remove it or choose another --out"
+        )
     started = time.perf_counter()
     result = sweep_mod.run_sweep(spec, workers=workers, keep_runs=args.keep_runs)
     elapsed = time.perf_counter() - started

@@ -182,6 +182,25 @@ def _bad_value_file(draw):
     return kind, "\n".join(lines) + "\n", key, pos + 1
 
 
+# Each key of a config or spec file, and what its value must be: the field's
+# declared type picks it (int, float or float | None, or a tuple of either);
+# the control factors also take a level name.
+_KEY_TYPES = [
+    *(("config", key, "an integer") for key in ("n_initial", "K", "max_steps", "seed")),
+    *(("config", key, "a number") for key in ("p", "spawn_rate", "metastasis_rate", "apoptosis_rate")),
+    *(
+        ("config", key, "a number or one of low/medium/high")
+        for key in ("angiogenesis", "recovery", "quiescence")
+    ),
+    *(("spec", key, "a comma-separated list of integers") for key in ("csc_counts", "K_values")),
+    *(
+        ("spec", key, "a comma-separated list of numbers")
+        for key in ("angiogenesis_values", "recovery_values", "quiescence_values")
+    ),
+    *(("spec", key, "an integer") for key in ("seeds_per_cell", "base_seed", "max_steps")),
+]
+
+
 class TestOneRuleSet:
     """The dataclasses hold every bound; the parsers name the line."""
 
@@ -194,6 +213,20 @@ class TestOneRuleSet:
         with pytest.raises(InputError) as exc:
             parse(text)
         assert str(exc.value).startswith(f"line {lineno}: {key} must ")
+
+    @pytest.mark.parametrize("kind,key,what", _KEY_TYPES)
+    def test_unconvertible_value_names_what_the_field_type_takes(self, kind, key, what):
+        parse, required = (parse_config, "n_initial") if kind == "config" else (parse_sweep_spec, "csc_counts")
+        bad = "1,x" if what.startswith("a comma-separated") else "x"
+        text = f"{key}={bad}\n" + ("" if key == required else f"{required}=50\n")
+        with pytest.raises(InputError) as exc:
+            parse(text)
+        assert str(exc.value) == f"line 1: {key} requires {what}, got {bad!r}"
+
+    def test_every_key_has_its_converter_pinned(self):
+        assert sorted((kind, key) for kind, key, _ in _KEY_TYPES) == sorted(
+            [*(("config", key) for key in _CONFIG_KEYS), *(("spec", key) for key in _SPEC_KEYS)]
+        )
 
     def test_key_tables_are_the_dataclass_fields(self):
         model = {f.name for f in fields(ModelConfig)} - {"factors", "allow_below_threshold"}
@@ -479,6 +512,34 @@ class TestPlotSvg:
         code, _, err = _cli(["plot", "--input", str(path), "--kind", "sweep", "--out", str(out)])
         assert code == 2 and "Traceback" not in err
         assert not out.exists()
+
+    def test_row_of_the_wrong_width_rejected(self, tmp_path):
+        # A ninth cell was once ignored (exit 0); a short row was reported
+        # as non-numeric.
+        path = tmp_path / "run.csv"
+        out = tmp_path / "chart.svg"
+        for row in ("0,4,8,4,0,0,0,2.0,9", "0,4"):
+            path.write_text(RUN_CSV_HEADER + f"\n{row}\n")
+            code, _, err = _cli(["plot", "--input", str(path), "--kind", "timeseries", "--out", str(out)])
+            assert code == 2
+            assert err == f"error: malformed row in {path}: {row.split(',')!r}\n"
+            assert not out.exists()
+
+    def test_missing_output_directories_are_created(self, tmp_path):
+        src = self._run_csv(tmp_path)
+        plot_svg(src, "timeseries", tmp_path / "chart.svg")
+        nested = tmp_path / "a" / "b" / "chart.svg"
+        code, _, err = _cli(["plot", "--input", str(src), "--kind", "timeseries", "--out", str(nested)])
+        assert code == 0, err
+        assert nested.read_bytes() == (tmp_path / "chart.svg").read_bytes()
+
+    def test_file_at_the_output_directory_rejected(self, tmp_path):
+        src = self._run_csv(tmp_path)
+        code, _, err = _cli([
+            "plot", "--input", str(src), "--kind", "timeseries", "--out", str(src / "chart.svg"),
+        ])
+        assert code == 2
+        assert err == f"error: output directory is not a directory: {src}\n"
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(InputError, match="unknown plot kind"):
@@ -915,6 +976,59 @@ class TestCli:
             assert left == taken
             (out_dir / name).rmdir()
             (out_dir / name).write_bytes(earlier[name])
+
+    def _stale_run_file(self, tmp_path, monkeypatch, second, keep_runs):
+        """Run a kept 2-run sweep into a directory, then the second spec into
+        it; return the second sweep's exit code and stderr after checking
+        that it started no run and left every earlier file as it was."""
+        grid = "csc_counts=40\nmax_steps=10\n"
+        first = _write(tmp_path / "first.cfg", grid + "seeds_per_cell=2\nbase_seed=5\n")
+        out_dir = tmp_path / "sweep"
+        assert _cli(["sweep", "--spec", first, "--out", str(out_dir), "--keep-runs"])[0] == 0
+        earlier = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(sweep, "run_sweep", no_sweep)
+        second = _write(tmp_path / "second.cfg", grid + second)
+        code, _, err = _cli(
+            ["sweep", "--spec", second, "--out", str(out_dir), *(["--keep-runs"] if keep_runs else [])]
+        )
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
+        return code, err, out_dir
+
+    def test_sweep_without_keep_runs_beside_kept_runs_exits_2(self, tmp_path, monkeypatch):
+        # It once exited 0 and left run00000.csv of seed 5 beside a runs.csv
+        # that listed seed 6.
+        code, err, out_dir = self._stale_run_file(
+            tmp_path, monkeypatch, "seeds_per_cell=1\nbase_seed=6\n", keep_runs=False
+        )
+        assert code == 2
+        assert err == (
+            f"error: {out_dir / 'run00000.csv'} is from an earlier sweep and this sweep would "
+            "not replace it; remove it or choose another --out\n"
+        )
+
+    def test_smaller_kept_sweep_beside_a_larger_one_exits_2(self, tmp_path, monkeypatch):
+        code, err, out_dir = self._stale_run_file(
+            tmp_path, monkeypatch, "seeds_per_cell=1\nbase_seed=6\n", keep_runs=True
+        )
+        assert code == 2
+        assert err.startswith(f"error: {out_dir / 'run00001.csv'} is from an earlier sweep")
+
+    def test_kept_sweep_of_the_same_size_replaces_the_run_files(self, tmp_path):
+        grid = "csc_counts=40\nseeds_per_cell=2\nmax_steps=10\nbase_seed="
+        out_dir = tmp_path / "sweep"
+        argv = ["--out", str(out_dir), "--keep-runs"]
+        assert _cli(["sweep", "--spec", _write(tmp_path / "first.cfg", grid + "5\n"), *argv])[0] == 0
+        earlier = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        code, _, err = _cli(["sweep", "--spec", _write(tmp_path / "second.cfg", grid + "6\n"), *argv])
+        assert code == 0, err
+        later = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(later) == sorted(earlier)
+        assert later["run00000.csv"] != earlier["run00000.csv"]
+        assert [r.seed for r in read_sweep_runs(out_dir / "runs.csv")] == [6, 7]
 
     def test_sweep_out_that_is_a_file_exits_before_any_run(self, tmp_path, monkeypatch):
         def no_sweep(*args, **kwargs):
