@@ -22,9 +22,8 @@ import re
 import sys
 import time
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
-from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -41,30 +40,19 @@ class InputError(ValueError):
 
 RUN_CSV_HEADER = "step,n_nodes,n_edges,normal,quiescent,metastatic,dead,volume_ratio"
 
-SWEEP_SUMMARY_HEADER = (
-    "cell_id,n_initial,K,angiogenesis,recovery,quiescence,seeds,"
-    "mean_volume_ratio,std_volume_ratio,"
-    "mean_metastatic_fraction,std_metastatic_fraction,"
-    "mean_metastatic_count,std_metastatic_count,"
-    "progression,rejection,stabilization"
-)
+# A sweep table's columns are the fields of the record each row writes.
+SWEEP_SUMMARY_HEADER = ",".join(f.name for f in fields(CellAggregate))
+SWEEP_RUNS_HEADER = ",".join(f.name for f in fields(RunOutcome))
 
-SWEEP_RUNS_HEADER = (
-    "run_id,cell_id,n_initial,K,angiogenesis,recovery,quiescence,seed,"
-    "steps,termination,n_nodes,n_edges,normal,quiescent,metastatic,dead,"
-    "volume_ratio,tci"
-)
+_SUMMARY_STATISTICS = {c for c in SWEEP_SUMMARY_HEADER.split(",") if c.startswith(("mean_", "std_"))}
+# runs.csv writes each field with str() and reads it back with the field's type.
+_RUN_COLUMN_TYPES = tuple(get_type_hints(RunOutcome).values())
 
-# Each runs.csv column is the RunOutcome field of the same name, written with
-# str() and read back with the field's type.
-_RUN_COLUMNS = tuple(SWEEP_RUNS_HEADER.split(","))
-_run_row = attrgetter(*_RUN_COLUMNS)
-_RUN_COLUMN_TYPES = itemgetter(*_RUN_COLUMNS)(get_type_hints(RunOutcome))
 _TERMINATIONS = frozenset((engine.TERM_MAX_STEPS, engine.TERM_DISCONNECTED, engine.TERM_EXTINCT))
 _TCI_VALUES = frozenset(["", *(c.value for c in TciClass)])
 # The runs.csv columns that echo the run's configuration, each checked
 # against the tumor_model.BOUNDS entry of the same name.
-_CONFIG_COLUMNS = ("n_initial", "K", "angiogenesis", "recovery", "quiescence", "seed")
+_CONFIG_COLUMNS = tuple(f.name for f in fields(RunOutcome) if f.name in tumor_model.BOUNDS)
 
 
 def _read_text(path: str | Path, what: str) -> str:
@@ -246,16 +234,20 @@ def parse_sweep_spec(text: str) -> SweepSpec:
 # file emission
 
 
+def _format_table(header: str, records: list, fixed: set[str]) -> str:
+    """A CSV table: the header, then one row per record of its field values
+    in column order, each as str() writes it, or in .6f notation if its
+    column is in fixed."""
+    row = ",".join("{:.6f}" if c in fixed else "{}" for c in header.split(",")) + "\n"
+    # A dataclass instance's __dict__ holds its fields in declaration order,
+    # as __init__ sets them.
+    return "".join([header, "\n", *(row.format(*vars(r).values()) for r in records)])
+
+
 def format_run_csv(series: TimeSeries) -> str:
     if not series.records:
         raise InputError("cannot write a CSV for an empty series")
-    lines = [RUN_CSV_HEADER]
-    for r in series.records:
-        lines.append(
-            f"{r.step},{r.n_nodes},{r.n_edges},{r.count_normal},{r.count_quiescent},"
-            f"{r.count_metastatic},{r.count_dead},{r.volume_ratio:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    return _format_table(RUN_CSV_HEADER, series.records, {"volume_ratio"})
 
 
 def summarize_run(
@@ -273,25 +265,13 @@ def summarize_run(
 
 
 def format_sweep_summary(cells: list[CellAggregate]) -> str:
-    lines = [SWEEP_SUMMARY_HEADER]
-    for c in cells:
-        lines.append(
-            f"{c.cell_id},{c.n_initial},{c.K},{c.angiogenesis!r},{c.recovery!r},"
-            f"{c.quiescence!r},{c.seeds},"
-            f"{c.mean_volume_ratio:.6f},{c.std_volume_ratio:.6f},"
-            f"{c.mean_metastatic_fraction:.6f},{c.std_metastatic_fraction:.6f},"
-            f"{c.mean_metastatic_count:.6f},{c.std_metastatic_count:.6f},"
-            f"{c.progression},{c.rejection},{c.stabilization}"
-        )
-    return "\n".join(lines) + "\n"
+    return _format_table(SWEEP_SUMMARY_HEADER, cells, _SUMMARY_STATISTICS)
 
 
 def format_sweep_runs(outcomes: list[RunOutcome]) -> str:
     # str() of a float is its shortest round-tripping form, so volume_ratio
     # keeps full precision and read_sweep_runs gets the same records back.
-    lines = [SWEEP_RUNS_HEADER]
-    lines.extend(",".join(map(str, _run_row(o))) for o in outcomes)
-    return "\n".join(lines) + "\n"
+    return _format_table(SWEEP_RUNS_HEADER, outcomes, set())
 
 
 def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
@@ -313,7 +293,7 @@ def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
             values = [t(v) for t, v in zip(_RUN_COLUMN_TYPES, row)]
         except ValueError:
             raise InputError(f"malformed row in {path}: {row!r}") from None
-        run = RunOutcome(**dict(zip(_RUN_COLUMNS, values)))
+        run = RunOutcome(*values)
         if run.termination not in _TERMINATIONS:
             raise InputError(f"unknown termination {run.termination!r} in {path}: {row!r}")
         if run.tci not in _TCI_VALUES:

@@ -59,15 +59,16 @@ class RngStream:
     """A root seed fanned out into independent named substreams.
 
     Labels are hashed with sha256, never the process-salted built-in hash,
-    so (seed, label, counter) reproduces the same generator in every
-    process. Distinct labels give independent streams; drawing more from
-    one subsystem never shifts another.
+    so (seed, label) reproduces the same generator in every process.
+    Distinct labels give independent streams; drawing more from one
+    subsystem never shifts another.
 
-    The generator of (seed, label, counter) is the one SeedSequence([seed,
-    counter, key]) seeds, key being the label's hash. SeedSequence joins the
-    32-bit words of those ints, so substream hands it the words directly,
-    with the seed's converted once per stream and each label's once per
-    process.
+    The generator of (seed, label) is the one SeedSequence([seed, 0, key])
+    seeds, key being the label's hash; the 0 word is part of the frozen
+    seeding, and dropping it would change every stream. SeedSequence joins
+    the 32-bit words of those ints, so substream hands it the words
+    directly, with the seed's converted once per stream and each label's
+    once per process.
     """
 
     def __init__(self, seed: int):
@@ -76,8 +77,8 @@ class RngStream:
         self.seed = int(seed)
         self._seed_words = _words(self.seed)
 
-    def substream(self, label: str, counter: int = 0) -> np.random.Generator:
-        words = [*self._seed_words, *_words(int(counter)), *_label_words(label)]
+    def substream(self, label: str) -> np.random.Generator:
+        words = [*self._seed_words, 0, *_label_words(label)]
         return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 

@@ -366,11 +366,30 @@ class TestSweepTables:
             )
             for i, ratio in enumerate((1.0, 3.0))
         ]
+        # The headers are written out, not read from the constants built
+        # from the records' fields, so a reordered field fails here.
         assert format_sweep_summary(aggregate(runs)) == (
-            SWEEP_SUMMARY_HEADER + "\n"
+            "cell_id,n_initial,K,angiogenesis,recovery,quiescence,seeds,"
+            "mean_volume_ratio,std_volume_ratio,"
+            "mean_metastatic_fraction,std_metastatic_fraction,"
+            "mean_metastatic_count,std_metastatic_count,"
+            "progression,rejection,stabilization\n"
             "0,40,4,0.2,0.3,0.5,2,2.000000,1.414214,0.000000,0.000000,"
             "0.000000,0.000000,0,0,0\n"
         )
+        assert format_sweep_runs(runs) == (
+            "run_id,cell_id,n_initial,K,angiogenesis,recovery,quiescence,seed,"
+            "steps,termination,n_nodes,n_edges,normal,quiescent,metastatic,dead,"
+            "volume_ratio,tci\n"
+            "0,0,40,4,0.2,0.3,0.5,0,1,disconnected,40,40,40,0,0,0,1.0,\n"
+            "1,0,40,4,0.2,0.3,0.5,1,1,disconnected,40,120,40,0,0,0,3.0,\n"
+        )
+
+    def test_readme_states_every_frozen_header(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = set(readme.splitlines())
+        for header in (RUN_CSV_HEADER, SWEEP_SUMMARY_HEADER, SWEEP_RUNS_HEADER):
+            assert header in lines
 
     def test_runs_table_round_trips_through_analyze(self, tmp_path):
         spec = SweepSpec(

@@ -74,21 +74,16 @@ class TestRngStream:
         b = RngStream(5).substream("schedule").random(8)
         assert not np.array_equal(a, b)
 
-    def test_counter_advances_stream(self):
-        a = RngStream(5).substream("graph", counter=0).random(8)
-        b = RngStream(5).substream("graph", counter=1).random(8)
-        assert not np.array_equal(a, b)
-
     def test_seeds_are_independent(self):
         a = RngStream(5).substream("graph").random(8)
         b = RngStream(6).substream("graph").random(8)
         assert not np.array_equal(a, b)
 
 
-def reference_substream(seed, label, counter=0):
+def reference_substream(seed, label):
     """RngStream.substream as first written: SeedSequence over the three ints."""
     key = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:16], "big")
-    return np.random.default_rng(np.random.SeedSequence([seed, counter, key]))
+    return np.random.default_rng(np.random.SeedSequence([seed, 0, key]))
 
 
 # Ints at the 32-bit word boundaries, where SeedSequence's word count changes.
@@ -98,10 +93,10 @@ _LABELS = st.sampled_from(["graph", "graph-skip", "schedule", "transitions", "gr
 
 class TestSubstreamSeeding:
     @settings(max_examples=200, deadline=None)
-    @given(seed=_EDGE_INTS, label=_LABELS, counter=_EDGE_INTS)
-    def test_matches_the_seed_sequence_of_the_ints(self, seed, label, counter):
-        got = RngStream(seed).substream(label, counter)
-        want = reference_substream(seed, label, counter)
+    @given(seed=_EDGE_INTS, label=_LABELS)
+    def test_matches_the_seed_sequence_of_the_ints(self, seed, label):
+        got = RngStream(seed).substream(label)
+        want = reference_substream(seed, label)
         assert got.bit_generator.state == want.bit_generator.state
 
     def test_words_drop_zero_high_words(self):
@@ -118,10 +113,6 @@ class TestSubstreamSeeding:
         assert sum(w << (32 * i) for i, w in enumerate(words)) == n
         assert all(0 <= w < 2**32 for w in words)
         assert words[-1] != 0 or words == [0]
-
-    def test_negative_counter_rejected(self):
-        with pytest.raises(ValueError):
-            RngStream(0).substream("graph", counter=-1)
 
 
 class TestStepRecord:
