@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import engine, sweep as sweep_mod, tumor_model
-from .engine import TimeSeries
+from .engine import StepRecord, TimeSeries
 from .metrics import TciClass
 from .sweep import CellAggregate, RunOutcome, SweepError, SweepSpec
 from .tumor_model import MEDIUM_FACTORS, ConfigError, ControlFactors, ModelConfig, factor_level
@@ -38,15 +38,12 @@ class InputError(ValueError):
     """Malformed input file or environment value."""
 
 
-RUN_CSV_HEADER = "step,n_nodes,n_edges,normal,quiescent,metastatic,dead,volume_ratio"
-
-# A sweep table's columns are the fields of the record each row writes.
+# A table's columns are the fields of the record each row writes.
+RUN_CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
 SWEEP_SUMMARY_HEADER = ",".join(f.name for f in fields(CellAggregate))
 SWEEP_RUNS_HEADER = ",".join(f.name for f in fields(RunOutcome))
 
 _SUMMARY_STATISTICS = {c for c in SWEEP_SUMMARY_HEADER.split(",") if c.startswith(("mean_", "std_"))}
-# runs.csv writes each field with str() and reads it back with the field's type.
-_RUN_COLUMN_TYPES = tuple(get_type_hints(RunOutcome).values())
 
 _TERMINATIONS = frozenset((engine.TERM_MAX_STEPS, engine.TERM_DISCONNECTED, engine.TERM_EXTINCT))
 _TCI_VALUES = frozenset(["", *(c.value for c in TciClass)])
@@ -96,23 +93,38 @@ def _write_text(*files: tuple[str | Path, str]) -> None:
         raise
 
 
-def _read_table(path: str | Path, header: str, what: str) -> list[list[str]]:
-    """The data rows of a CSV file with this header, blank rows skipped.
+def _read_records(path: str | Path, record: type, what: str, fault=lambda r: None) -> list:
+    """Read a CSV table written from the dataclass record back into records.
 
-    Another header, a row with more or fewer cells than the header, or no
-    data row at all is an InputError.
+    The header must be record's field names, and each data row becomes one
+    record, each cell read with its field's type; blank rows are skipped.
+    Another header, or no data row at all, is an InputError. So is a row
+    with more or fewer cells than the header, a cell its type cannot read,
+    or a record for which fault returns a reason; the error names the row.
     """
+    hints = get_type_hints(record)  # the fields' types, in field order
+    types = tuple(hints.values())
     reader = csv.reader(io.StringIO(_read_text(path, what)))
-    columns = header.split(",")
-    if next(reader, None) != columns:
-        raise InputError(f"{path}: header does not match the expected schema ({header})")
-    rows = [row for row in reader if row]
-    for row in rows:
-        if len(row) != len(columns):
-            raise InputError(f"malformed row in {path}: {row!r}")
-    if not rows:
+    if next(reader, None) != list(hints):
+        raise InputError(f"{path}: header does not match the expected schema ({','.join(hints)})")
+    records = []
+    for row in filter(None, reader):
+        if len(row) != len(types):
+            reason = "malformed row"
+        else:
+            try:
+                values = [t(v) for t, v in zip(types, row)]
+            except ValueError:
+                reason = "malformed row (a non-numeric or non-finite cell)"
+            else:
+                rec = record(*values)
+                reason = fault(rec)
+        if reason:
+            raise InputError(f"{reason} in {path}: {row!r}")
+        records.append(rec)
+    if not records:
         raise InputError(f"no data rows in {path}")
-    return rows
+    return records
 
 
 def _out_dir(path: str | Path) -> Path:
@@ -274,6 +286,32 @@ def format_sweep_runs(outcomes: list[RunOutcome]) -> str:
     return _format_table(SWEEP_RUNS_HEADER, outcomes, set())
 
 
+def _run_fault(run: RunOutcome) -> str | None:
+    """Why no sweep writes this runs table row, or None if one could."""
+    if run.termination not in _TERMINATIONS:
+        return f"unknown termination {run.termination!r}"
+    if run.tci not in _TCI_VALUES:
+        return f"unknown tci {run.tci!r}"
+    for column in _CONFIG_COLUMNS:
+        try:
+            tumor_model.check_bound(column, getattr(run, column))
+        except ConfigError as exc:
+            return str(exc)
+    counts = (run.normal, run.quiescent, run.metastatic, run.dead)
+    if min(run.steps, *counts, run.n_edges) < 0:
+        return "negative count"
+    if not 0 < run.n_nodes == sum(counts):
+        return "cell counts do not sum to a positive n_nodes"
+    if run.termination == engine.TERM_EXTINCT and run.n_nodes > run.dead:
+        return "extinct run with live cells"
+    if run.steps == 0 and (run.termination == engine.TERM_DISCONNECTED or run.tci):
+        return "step-0 run with a disconnected ending or a tci"
+    # The ratio as metrics.volume_ratio computes it from the final graph.
+    if run.volume_ratio != run.n_edges / run.n_nodes:
+        return "volume_ratio is not n_edges / n_nodes"
+    return None
+
+
 def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
     """Parse a runs table written by format_sweep_runs back into its records.
 
@@ -287,36 +325,7 @@ def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
     and at step 0 neither a disconnected ending, which the first step's
     check makes, nor a tci, which needs two records.
     """
-    runs = []
-    for row in _read_table(path, SWEEP_RUNS_HEADER, "runs table"):
-        try:
-            values = [t(v) for t, v in zip(_RUN_COLUMN_TYPES, row)]
-        except ValueError:
-            raise InputError(f"malformed row in {path}: {row!r}") from None
-        run = RunOutcome(*values)
-        if run.termination not in _TERMINATIONS:
-            raise InputError(f"unknown termination {run.termination!r} in {path}: {row!r}")
-        if run.tci not in _TCI_VALUES:
-            raise InputError(f"unknown tci {run.tci!r} in {path}: {row!r}")
-        for column in _CONFIG_COLUMNS:
-            try:
-                tumor_model.check_bound(column, getattr(run, column))
-            except ConfigError as exc:
-                raise InputError(f"{exc} in {path}: {row!r}") from None
-        counts = (run.normal, run.quiescent, run.metastatic, run.dead)
-        if min(run.steps, *counts, run.n_edges) < 0:
-            raise InputError(f"negative count in {path}: {row!r}")
-        if not 0 < run.n_nodes == sum(counts):
-            raise InputError(f"cell counts do not sum to a positive n_nodes in {path}: {row!r}")
-        if run.termination == engine.TERM_EXTINCT and run.n_nodes > run.dead:
-            raise InputError(f"extinct run with live cells in {path}: {row!r}")
-        if run.steps == 0 and (run.termination == engine.TERM_DISCONNECTED or run.tci):
-            raise InputError(f"step-0 run with a disconnected ending or a tci in {path}: {row!r}")
-        # The ratio as metrics.volume_ratio computes it from the final graph.
-        if run.volume_ratio != run.n_edges / run.n_nodes:
-            raise InputError(f"volume_ratio is not n_edges / n_nodes in {path}: {row!r}")
-        runs.append(run)
-    return runs
+    return _read_records(path, RunOutcome, "runs table", _run_fault)
 
 
 # ---------------------------------------------------------------------------
@@ -382,45 +391,31 @@ def _render_chart(x_label: str, y_label: str, series: list[tuple[str, list[tuple
     return "\n".join(parts) + "\n"
 
 
-def _finite(text: str) -> float:
-    """A CSV cell as a finite float; ValueError for anything else."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
+def _plot_fault(c: CellAggregate) -> str | None:
+    """Why the sweep chart cannot draw this summary row, or None if it can."""
+    plotted = (c.angiogenesis, c.recovery, c.quiescence, c.mean_metastatic_count)
+    return None if all(map(math.isfinite, plotted)) else "non-finite plotted value"
 
 
 def plot_svg(input_path: str | Path, kind: str, out_path: str | Path) -> None:
     """Render a run time series or a sweep summary as a deterministic SVG.
 
-    Every plotted cell must be a finite number; a nan or inf would put
-    "nan" coordinates into the SVG.
+    The input is read back into the records it was written from, so every
+    cell must read as its column's type. A plotted float must be finite
+    too: a nan or inf would put "nan" coordinates into the SVG.
     """
-    header = {"timeseries": RUN_CSV_HEADER, "sweep": SWEEP_SUMMARY_HEADER}.get(kind)
-    if header is None:
-        raise InputError(f"unknown plot kind {kind!r}")
-    columns = header.split(",")
-    rows = [dict(zip(columns, row)) for row in _read_table(input_path, header, "input file")]
     if kind == "timeseries":
-        try:
-            steps = [_finite(r["step"]) for r in rows]
-            series = [
-                (col, [(steps[i], _finite(rows[i][col])) for i in range(len(rows))])
-                for col in ("normal", "quiescent", "metastatic", "dead")
-            ]
-        except ValueError:
-            raise InputError(f"{input_path}: non-numeric or non-finite data row") from None
+        records = _read_records(input_path, StepRecord, "input file")
+        series = [
+            (state, [(r.step, getattr(r, state)) for r in records])
+            for state in ("normal", "quiescent", "metastatic", "dead")
+        ]
         svg = _render_chart("step", "count", series)
-    else:
+    elif kind == "sweep":
         groups: dict[tuple, list[tuple[float, float]]] = {}
-        try:
-            for r in rows:
-                key = (int(r["n_initial"]), int(r["K"]), _finite(r["recovery"]), _finite(r["quiescence"]))
-                groups.setdefault(key, []).append(
-                    (_finite(r["angiogenesis"]), _finite(r["mean_metastatic_count"]))
-                )
-        except ValueError:
-            raise InputError(f"{input_path}: non-numeric or non-finite data row") from None
+        for c in _read_records(input_path, CellAggregate, "input file", _plot_fault):
+            key = (c.n_initial, c.K, c.recovery, c.quiescence)
+            groups.setdefault(key, []).append((c.angiogenesis, c.mean_metastatic_count))
         multi = len({k[1:] for k in groups}) > 1
         series = []
         for key in sorted(groups):
@@ -429,6 +424,8 @@ def plot_svg(input_path: str | Path, kind: str, out_path: str | Path) -> None:
                 label += f" K={key[1]} r={_fmt_num(key[2])} q={_fmt_num(key[3])}"
             series.append((label, sorted(groups[key])))
         svg = _render_chart("angiogenesis", "mean_metastatic_count", series)
+    else:
+        raise InputError(f"unknown plot kind {kind!r}")
     _out_dir(Path(out_path).parent)
     _write_text((out_path, svg))
 

@@ -84,20 +84,21 @@ class RngStream:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Population and graph tallies after one step (or at step 0)."""
+    """Population and graph tallies after one step (or at step 0): a row of
+    run.csv, one field per column, in order."""
 
     step: int
     n_nodes: int
     n_edges: int
-    count_normal: int
-    count_quiescent: int
-    count_metastatic: int
-    count_dead: int
+    normal: int
+    quiescent: int
+    metastatic: int
+    dead: int
     volume_ratio: float
 
     @property
     def count_live(self) -> int:
-        return self.count_normal + self.count_quiescent + self.count_metastatic
+        return self.normal + self.quiescent + self.metastatic
 
 
 @dataclass
@@ -110,17 +111,9 @@ class TimeSeries:
 
 def collect(model) -> StepRecord:
     """Snapshot the model into a StepRecord without mutating anything."""
-    normal, quiescent, metastatic, dead = model.state_counts()
     g = model.graph
     return StepRecord(
-        step=model.step_count,
-        n_nodes=g.n_nodes,
-        n_edges=g.n_edges,
-        count_normal=normal,
-        count_quiescent=quiescent,
-        count_metastatic=metastatic,
-        count_dead=dead,
-        volume_ratio=metrics.volume_ratio(g),
+        model.step_count, g.n_nodes, g.n_edges, *model.state_counts(), metrics.volume_ratio(g)
     )
 
 

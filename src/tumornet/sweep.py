@@ -175,23 +175,17 @@ def expand(spec: SweepSpec) -> list[ModelConfig]:
 def final_fields(series: TimeSeries) -> dict:
     """The steps..tci fields of a finished run, in runs.csv column order.
 
-    The counts come from the final record. tci is the TciClass value, or
-    None when the class is undefined: fewer than two records, or a zero
-    initial volume ratio.
+    steps is the final record's step, and n_nodes..volume_ratio are its
+    fields of those names. tci is the TciClass value, or None when the class
+    is undefined: fewer than two records, or a zero initial volume ratio.
     """
     records = series.records
-    final = records[-1]
+    final = dict(vars(records[-1]))
     defined = len(records) >= 2 and records[0].volume_ratio > 0
     return {
-        "steps": final.step,
+        "steps": final.pop("step"),
         "termination": series.termination,
-        "n_nodes": final.n_nodes,
-        "n_edges": final.n_edges,
-        "normal": final.count_normal,
-        "quiescent": final.count_quiescent,
-        "metastatic": final.count_metastatic,
-        "dead": final.count_dead,
-        "volume_ratio": final.volume_ratio,
+        **final,
         "tci": metrics.tci_classify(series).value if defined else None,
     }
 

@@ -11,10 +11,11 @@ spawns in one batch, then its transitions. Both read one rule table of
 thresholds, as array operations when at least _ARRAY_MIN cells act and cell
 by cell otherwise.
 
-BOUNDS is the one home of every numeric config bound. ModelConfig,
+BOUNDS is the one home of every numeric field bound. ModelConfig,
 ControlFactors and sweep.SweepSpec check their fields against it when they
-are built, so no invalid config object exists, and the text parsers in
-cli_io hold no bound of their own.
+are built, and ModelConfig also bounds its start graph's size, so no
+invalid config object exists, and the text parsers in cli_io hold no bound
+of their own.
 """
 
 from __future__ import annotations
@@ -78,22 +79,17 @@ def _check_fields(config) -> None:
 NORMAL, QUIESCENT, METASTATIC, DEAD = range(4)
 
 
-# Preset levels for each control factor.
+# Preset levels for each control factor, by ControlFactors field name.
 FACTOR_LEVELS = {
     "angiogenesis": {"low": 0.0, "medium": 0.4, "high": 1.0},
     "recovery": {"low": 0.1, "medium": 0.3, "high": 1.0},
-    "quiescent": {"low": 0.1, "medium": 0.5, "high": 1.0},
+    "quiescence": {"low": 0.1, "medium": 0.5, "high": 1.0},
 }
-
-# The factor table row is named "quiescent"; the config key and the
-# ControlFactors field use the noun form. Accept both.
-_FACTOR_ALIASES = {"quiescence": "quiescent"}
 
 
 def factor_level(factor: str, level: str) -> float:
     """Look up a preset, e.g. ("angiogenesis", "medium") -> 0.4."""
-    name = _FACTOR_ALIASES.get(factor, factor)
-    row = FACTOR_LEVELS.get(name)
+    row = FACTOR_LEVELS.get(factor)
     if row is None:
         raise ConfigError(f"unknown control factor {factor!r}")
     value = row.get(level)
@@ -112,7 +108,15 @@ class ControlFactors:
         _check_fields(self)
 
 
-MEDIUM_FACTORS = ControlFactors(angiogenesis=0.4, recovery=0.3, quiescence=0.5)
+MEDIUM_FACTORS = ControlFactors(**{factor: row["medium"] for factor, row in FACTOR_LEVELS.items()})
+
+# The most nodes plus expected edges a start graph may have. At its peak a
+# start costs about 26 B a node and 50-65 B an edge: 5M nodes and almost no
+# edges took 122 MiB, 1M nodes and 2M edges 121 MiB, 20,000 nodes and 8M
+# edges 371 MiB (Python 3.11, numpy 2.4, x86-64). So this keeps a start
+# near 0.6 GiB at most, while the 200,000-cell start of the scale tests
+# holds about 600,000.
+_START_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,9 @@ class ModelConfig:
     expected average degree is K. That value sits below the connectivity
     threshold for realistic sizes, so starting such a run requires
     allow_below_threshold; the run then stops on its own once the
-    disconnected start is observed.
+    disconnected start is observed. n_initial plus the expected edge count
+    p * n_initial * (n_initial - 1) / 2 may not exceed _START_LIMIT; a
+    larger start raises ConfigError, naming p if it is set, else n_initial.
 
     Attributes:
         n_initial: Starting cell count, at least 1.
@@ -152,6 +158,14 @@ class ModelConfig:
 
     def __post_init__(self):
         _check_fields(self)
+        n, p = self.n_initial, self.edge_prob
+        size = n + p * n * (n - 1) / 2
+        if size > _START_LIMIT:
+            raise ConfigError(
+                f"n_initial={n} at edge probability {p:.6g} expects a start graph of "
+                f"{size:.3g} nodes and edges, more than the {_START_LIMIT:,} allowed",
+                "n_initial" if self.p is None else "p",
+            )
 
     @property
     def edge_prob(self) -> float:

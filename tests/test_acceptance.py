@@ -227,10 +227,10 @@ def test_criterion_09_invariant_fuzz():
         for _ in range(200):
             record = step(model)
             total = (
-                record.count_normal
-                + record.count_quiescent
-                + record.count_metastatic
-                + record.count_dead
+                record.normal
+                + record.quiescent
+                + record.metastatic
+                + record.dead
             )
             assert total == record.n_nodes == len(model.state)
             for agent_id in dead_ids:
@@ -240,7 +240,7 @@ def test_criterion_09_invariant_fuzz():
             prev_nodes = record.n_nodes
             if frozen:
                 assert record.n_nodes == n
-                assert record.count_metastatic == 0
+                assert record.metastatic == 0
             if record.count_live == 0 or record.n_nodes > node_cap:
                 break
     assert freeze_runs == 20

@@ -1,6 +1,7 @@
 """Config parsing, file formats, SVG rendering, and the CLI surface."""
 
 import errno
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tumornet import engine, sweep
+from tumornet import engine, graph_core, sweep
 from tumornet.cli_io import (
     _CONFIG_KEYS,
     _SPEC_KEYS,
@@ -34,7 +35,14 @@ from tumornet.cli_io import (
 )
 from tumornet.engine import StepRecord, TimeSeries, run
 from tumornet.sweep import RunOutcome, SweepSpec, aggregate, run_sweep
-from tumornet.tumor_model import BOUNDS, ConfigError, ControlFactors, ModelConfig, init_model
+from tumornet.tumor_model import (
+    BOUNDS,
+    FACTOR_LEVELS,
+    ConfigError,
+    ControlFactors,
+    ModelConfig,
+    init_model,
+)
 
 
 def _cli(argv):
@@ -69,6 +77,13 @@ class TestParseConfig:
         cfg = parse_config("n_initial=100\nangiogenesis=0.25\n")
         assert cfg.factors.angiogenesis == 0.25
         assert cfg.factors.recovery == 0.3  # untouched defaults stay medium
+
+    def test_every_factor_level(self):
+        assert list(FACTOR_LEVELS) == [f.name for f in fields(ControlFactors)]
+        for factor, row in FACTOR_LEVELS.items():
+            for level, value in row.items():
+                cfg = parse_config(f"n_initial=100\n{factor}={level}\n")
+                assert getattr(cfg.factors, factor) == value
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# run setup\nn_initial=100  # cells\n\nK=5\n")
@@ -544,6 +559,19 @@ class TestPlotSvg:
             assert err == f"error: malformed row in {path}: {row.split(',')!r}\n"
             assert not out.exists()
 
+    def test_unplotted_cell_must_read_as_its_type(self, tmp_path):
+        # volume_ratio is not drawn, but each row is read back as a StepRecord.
+        path = tmp_path / "run.csv"
+        out = tmp_path / "chart.svg"
+        row = "0,4,8,4,0,0,0,two"
+        path.write_text(RUN_CSV_HEADER + f"\n{row}\n")
+        code, _, err = _cli(["plot", "--input", str(path), "--kind", "timeseries", "--out", str(out)])
+        assert code == 2
+        assert err == (
+            f"error: malformed row (a non-numeric or non-finite cell) in {path}: {row.split(',')!r}\n"
+        )
+        assert not out.exists()
+
     def test_missing_output_directories_are_created(self, tmp_path):
         src = self._run_csv(tmp_path)
         plot_svg(src, "timeseries", tmp_path / "chart.svg")
@@ -577,6 +605,42 @@ class TestPlotSvg:
         svg = out.read_text()
         assert svg.count("<polyline") == 2
         assert ">n=40</text>" in svg and ">n=60</text>" in svg
+
+
+_GOLDEN_RUN_CSV = """\
+step,n_nodes,n_edges,normal,quiescent,metastatic,dead,volume_ratio
+0,40,96,40,0,0,0,2.400000
+1,41,100,25,9,5,2,2.439024
+2,43,108,20,11,8,4,2.511628
+3,43,108,18,10,7,8,2.511628
+"""
+
+
+class TestGoldenSvg:
+    """The SVG bytes of both plot kinds, pinned as sha256 digests."""
+
+    def _plot(self, tmp_path, text, kind):
+        src, out = tmp_path / "in.csv", tmp_path / "out.svg"
+        src.write_text(text)
+        plot_svg(src, kind, out)
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_timeseries(self, tmp_path):
+        assert self._plot(tmp_path, _GOLDEN_RUN_CSV, "timeseries") == (
+            "59a1ba0647797782190fee3f2e70de19b9cc7490dd2096f35b253e2847447878"
+        )
+
+    def test_sweep(self, tmp_path):
+        # Two recovery values, so each line's label names its K, r and q too.
+        spec = SweepSpec(csc_counts=(30, 50), angiogenesis_values=(0.2, 0.5, 0.8),
+                         recovery_values=(0.1, 0.3), seeds_per_cell=2, base_seed=5, max_steps=20)
+        summary = format_sweep_summary(run_sweep(spec).cells)
+        assert hashlib.sha256(summary.encode()).hexdigest() == (
+            "9f20a1b7182df0edba931ebba765ef29e6f99a655218b162b750ca97c2f5af4e"
+        )
+        assert self._plot(tmp_path, summary, "sweep") == (
+            "27d03d2f63ec6e16833c3a790cacbfb4ca1061c7830e50c4e3264c632eba9ecd"
+        )
 
 
 class TestCli:
@@ -798,6 +862,25 @@ class TestCli:
         assert code == 3
         assert err == "error: run 11 (cell 0, seed 511) failed: ValueError: cell exploded\n"
         assert {p.name: p.read_bytes() for p in sweep_dir.iterdir()} == earlier
+
+    def test_oversized_start_exits_2_before_generating(self, tmp_path, monkeypatch):
+        def generate(*args):
+            raise AssertionError("a start graph was generated")
+
+        monkeypatch.setattr(graph_core, "generate_er", generate)
+        monkeypatch.setattr(graph_core, "generate_er_skip", generate)
+        out = tmp_path / "out"
+        for text, line in (("n_initial=1000000000\n", 1), ("n_initial=40000\np=1\n", 2)):
+            config = _write(tmp_path / "run.cfg", text)
+            code, _, err = _cli(["run", "--config", config, "--out", str(out)])
+            assert code == 2
+            assert err.startswith(f"error: line {line}: n_initial=") and "10,000,000 allowed" in err
+            assert not (out / "run.csv").exists()
+        # A sweep's grid reaches the limit through expand, before its first run.
+        spec = _write(tmp_path / "grid.cfg", "csc_counts=60,1000000000\nseeds_per_cell=1\n")
+        code, _, err = _cli(["sweep", "--spec", spec, "--out", str(tmp_path / "s")])
+        assert code == 2 and "10,000,000 allowed" in err and "Traceback" not in err
+        assert not (tmp_path / "s" / "runs.csv").exists()
 
     def test_sweep_invalid_spec(self, tmp_path):
         spec = _write(tmp_path / "grid.cfg", "csc_counts=\n")

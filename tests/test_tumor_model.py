@@ -65,9 +65,9 @@ class TestFactorLevels:
         assert factor_level("recovery", "low") == 0.1
         assert factor_level("recovery", "medium") == 0.3
         assert factor_level("recovery", "high") == 1.0
-        assert factor_level("quiescent", "low") == 0.1
-        assert factor_level("quiescent", "medium") == 0.5
-        assert factor_level("quiescent", "high") == 1.0
+        assert factor_level("quiescence", "low") == 0.1
+        assert factor_level("quiescence", "medium") == 0.5
+        assert factor_level("quiescence", "high") == 1.0
 
     def test_quiescence_alias(self):
         assert factor_level("quiescence", "medium") == 0.5
@@ -81,7 +81,7 @@ class TestFactorLevels:
             factor_level("recovery", "extreme")
 
     def test_table_is_complete(self):
-        assert set(FACTOR_LEVELS) == {"angiogenesis", "recovery", "quiescent"}
+        assert set(FACTOR_LEVELS) == {"angiogenesis", "recovery", "quiescence"}
         for row in FACTOR_LEVELS.values():
             assert set(row) == {"low", "medium", "high"}
 
@@ -135,6 +135,42 @@ class TestModelConfig:
             ModelConfig(n_initial=10, max_steps=-1)
         with pytest.raises(ConfigError):
             ModelConfig(n_initial=10, seed=-3)
+
+
+class TestStartLimit:
+    """A config whose start graph would exceed _START_LIMIT nodes plus
+    expected edges cannot be built, so no start is ever generated for it."""
+
+    @pytest.fixture(autouse=True)
+    def _no_generation(self, monkeypatch):
+        def generate(*args):
+            raise AssertionError("a start graph was generated")
+
+        monkeypatch.setattr(graph_core, "generate_er", generate)
+        monkeypatch.setattr(graph_core, "generate_er_skip", generate)
+
+    def _field(self, **kwargs):
+        with pytest.raises(ConfigError, match="more than the 10,000,000 allowed") as exc:
+            tumor_model.init_model(ModelConfig(**kwargs))
+        return exc.value.field
+
+    def test_derived_density_names_n_initial(self):
+        # np.arange(n) alone would ask for about 8 GB.
+        assert self._field(n_initial=1_000_000_000, allow_below_threshold=True) == "n_initial"
+
+    def test_explicit_p_names_p(self):
+        # np.triu_indices would ask for more than 10 GB.
+        assert self._field(n_initial=40_000, p=1.0) == "p"
+        assert self._field(n_initial=tumor_model._START_LIMIT + 1, p=0.0) == "p"
+
+    def test_limit_is_inclusive(self):
+        assert tumor_model._START_LIMIT == 10_000_000
+        ModelConfig(n_initial=tumor_model._START_LIMIT, p=0.0)
+        # 4,000 nodes plus 0.5 * 4000 * 3999 / 2 = 3,998,000 expected edges.
+        ModelConfig(n_initial=4_000, p=0.5)
+
+    def test_scale_start_is_far_below(self):
+        ModelConfig(n_initial=200_000, K=4)
 
 
 class TestInitModel:
@@ -628,8 +664,8 @@ class TestRunProperties:
         for m in _stepped(**run):
             record = m.records[-1]
             assert m.state_counts() == _tally(m)
-            total = (record.count_normal + record.count_quiescent
-                     + record.count_metastatic + record.count_dead)
+            total = (record.normal + record.quiescent
+                     + record.metastatic + record.dead)
             assert total == record.n_nodes == len(m.state)
 
     @settings(max_examples=50, deadline=None)
@@ -668,7 +704,7 @@ class TestRunProperties:
                           factors=ControlFactors(0.0, 0.3, 0.5))
             series = run(init_model(cfg), 60)
             assert all(r.n_nodes == 60 for r in series.records)
-            assert all(r.count_metastatic == 0 for r in series.records)
+            assert all(r.metastatic == 0 for r in series.records)
 
     def test_run_is_deterministic(self):
         a = run(init_model(_config(n_initial=80, p=0.1, seed=12)), 30)
@@ -687,7 +723,7 @@ class TestStochasticMonotonicity:
                 cfg = ModelConfig(n_initial=100, p=0.1, K=4, seed=seed,
                                   factors=ControlFactors(ang, 0.3, 0.5))
                 series = run(init_model(cfg), 10)
-                finals.append(series.records[-1].count_metastatic)
+                finals.append(series.records[-1].metastatic)
             means.append(statistics.fmean(finals))
         rho = spearmanr(angs, means).statistic
         assert rho > 0.8
@@ -700,7 +736,7 @@ class TestStochasticMonotonicity:
                 cfg = ModelConfig(n_initial=100, p=0.1, K=4, seed=seed,
                                   factors=ControlFactors(0.4, rec, 0.5))
                 series = run(init_model(cfg), 30)
-                finals.append(series.records[-1].count_metastatic)
+                finals.append(series.records[-1].metastatic)
             means.append(statistics.fmean(finals))
         assert means[0] >= means[1] >= means[2]
         assert means[0] > means[2]  # the effect must be visible, not a tie
