@@ -93,27 +93,34 @@ def _write_text(*files: tuple[str | Path, str]) -> None:
         raise
 
 
+def _cell(kind: type, text: str):
+    """text read as kind: an int only as str() writes it, a float without whitespace or '_'."""
+    value = kind(text)
+    if kind is int and str(value) != text or kind is float and ("_" in text or text != text.strip()):
+        raise ValueError(text)
+    return value
+
+
 def _read_records(path: str | Path, record: type, what: str, fault=lambda r: None) -> list:
     """Read a CSV table written from the dataclass record back into records.
 
     The header must be record's field names, and each data row becomes one
-    record, each cell read with its field's type; blank rows are skipped.
+    record, each cell read as its field's type by _cell; blank rows are skipped.
     Another header, or no data row at all, is an InputError. So is a row
     with more or fewer cells than the header, a cell its type cannot read,
     or a record for which fault returns a reason; the error names the row.
     """
     hints = get_type_hints(record)  # the fields' types, in field order
-    types = tuple(hints.values())
     reader = csv.reader(io.StringIO(_read_text(path, what)))
     if next(reader, None) != list(hints):
         raise InputError(f"{path}: header does not match the expected schema ({','.join(hints)})")
     records = []
     for row in filter(None, reader):
-        if len(row) != len(types):
+        if len(row) != len(hints):
             reason = "malformed row"
         else:
             try:
-                values = [t(v) for t, v in zip(types, row)]
+                values = [_cell(t, v) for t, v in zip(hints.values(), row)]
             except ValueError:
                 reason = "malformed row (a non-numeric or non-finite cell)"
             else:

@@ -226,10 +226,6 @@ class Model:
         # array step. Sized now, so its metastatic row exists at step 1.
         self._rows: tuple[tuple[float, float, float], ...] = ()
         self._thresholds(0)
-        # _spawn's act-order stamps by node, grown with the graph, and the
-        # stamp its next call starts from; an older stamp is out of date.
-        self._act_at = np.zeros(0, dtype=np.int64)
-        self._act_base = 1
 
     @property
     def state(self) -> np.ndarray:
@@ -422,14 +418,10 @@ def _spawn(model: Model, ids: np.ndarray, spawners: np.ndarray) -> np.ndarray:
     graph = model.graph
     n0 = graph.n_nodes
     lo, hi = graph_core.add_nodes_linked(graph, ids[spawners], model.config.K - 1, model._growth_rng)
-    # act_at[c] - base is where cell c acts in ids. Stamps start at 1 and
-    # only grow, so the slot of a cell that does not act in this step, or of
-    # a new node (0), reads negative, and only the slots of ids are set.
-    base = model._act_base
-    model._act_base += len(ids)
-    act_at = model._act_at = graph_core.with_room(model._act_at, graph.n_nodes)
-    act_at[ids] = np.arange(base, base + len(ids))
-    later = act_at[lo] - base
+    # at[c] is where cell c acts in ids, or -1 if it does not act in this step.
+    at = np.full(graph.n_nodes, -1)
+    at[ids] = np.arange(len(ids))
+    later = at[lo]
     later = later[later > spawners[hi - n0]]
     # The new cells' slots read 0, NORMAL.
     model._state = graph_core.with_room(model._state, graph.n_nodes)

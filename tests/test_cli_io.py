@@ -560,17 +560,18 @@ class TestPlotSvg:
             assert not out.exists()
 
     def test_unplotted_cell_must_read_as_its_type(self, tmp_path):
-        # volume_ratio is not drawn, but each row is read back as a StepRecord.
+        # volume_ratio is not drawn, but each row is read back as a StepRecord,
+        # and an int cell only in the form str() writes (int() reads 1_0 as 10).
         path = tmp_path / "run.csv"
         out = tmp_path / "chart.svg"
-        row = "0,4,8,4,0,0,0,two"
-        path.write_text(RUN_CSV_HEADER + f"\n{row}\n")
-        code, _, err = _cli(["plot", "--input", str(path), "--kind", "timeseries", "--out", str(out)])
-        assert code == 2
-        assert err == (
-            f"error: malformed row (a non-numeric or non-finite cell) in {path}: {row.split(',')!r}\n"
-        )
-        assert not out.exists()
+        for row in ("0,4,8,4,0,0,0,two", "1_0,4,8,4,0,0,0,2.0"):
+            path.write_text(RUN_CSV_HEADER + f"\n{row}\n")
+            code, _, err = _cli(["plot", "--input", str(path), "--kind", "timeseries", "--out", str(out)])
+            assert code == 2
+            assert err == (
+                f"error: malformed row (a non-numeric or non-finite cell) in {path}: {row.split(',')!r}\n"
+            )
+            assert not out.exists()
 
     def test_missing_output_directories_are_created(self, tmp_path):
         src = self._run_csv(tmp_path)
@@ -903,7 +904,18 @@ class TestCli:
     def test_analyze_malformed_row(self, tmp_path):
         non_numeric = RUNS_ROW_CELL_1.replace(",4,", ",four,", 1)
         short = RUNS_ROW_CELL_1[: RUNS_ROW_CELL_1.rindex(",")]
-        for row in (non_numeric, short):
+        # Cells that int() or float() read as the row's own values, in forms
+        # no sweep writes; such edits of a sweep's runs.csv once went through
+        # analyze with exit 0 and the sweep's summary.csv.
+        forms = []
+        for column, cell in (
+            ("n_initial", "4_0"), ("n_initial", "+40"), ("n_initial", "\u0664\u0660"), ("seed", " 0"),
+            ("angiogenesis", "0_0.2"), ("volume_ratio", " 2.0"), ("volume_ratio", "0_2.0"),
+        ):
+            cells = RUNS_ROW_CELL_1.split(",")
+            cells[SWEEP_RUNS_HEADER.split(",").index(column)] = cell
+            forms.append(",".join(cells))
+        for row in (non_numeric, short, *forms):
             (tmp_path / "runs.csv").write_text(SWEEP_RUNS_HEADER + "\n" + row + "\n")
             out = tmp_path / "s.csv"
             code, _, err = _cli(["analyze", "--runs", str(tmp_path), "--out", str(out)])

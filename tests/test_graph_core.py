@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from reference_graph import as_networkx, generate_er_rowwise, generate_er_skip_scalar, grow
 from reference_model import add_node_linked_checked
@@ -588,6 +589,66 @@ class TestAddNodesLinked:
     def test_negative_k_extra(self):
         with pytest.raises(ValueError):
             add_nodes_linked(Graph(2), [0], -1, _rng(0))
+
+
+class TestGrowthOracle:
+    """The extra neighbours of spawned nodes against uniform draws.
+
+    TestAddNodesLinked checks add_nodes_linked against
+    reference_model.add_node_linked_checked, which restates the same draws,
+    so a slip copied into both would pass it. This checks what the draws
+    must give instead: each spawn's extras are k_extra distinct older nodes
+    other than its anchor, and uniform among them. The positions of the
+    extras among those nodes fall into BUCKETS equal slices of each spawn's
+    pool; pooled over the spawns, each slice's count must lie in the
+    central 1 - 1e-6 interval of its binomial, as TestRuleOracle checks.
+    Picks without replacement spread less than the binomial, so the
+    interval is wide enough.
+    """
+
+    K_EXTRA, BUCKETS, SPAWNS = 3, 8, 3000
+
+    @pytest.mark.parametrize(
+        "n0",
+        [
+            # Floyd's sampling, as rng.choice, at 200 to 3,199 older nodes.
+            200,
+            # Rejection sampling, past _REJECTION_POOL_MIN older nodes.
+            5000,
+        ],
+    )
+    # One-spawn batches decode word by word, larger ones as rows.
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_extras_are_uniform_over_older_non_anchor_nodes(self, n0, batch):
+        k, nb = self.K_EXTRA, self.BUCKETS
+        assert n0 + self.SPAWNS <= graph_core._REJECTION_POOL_MIN or n0 > graph_core._REJECTION_POOL_MIN
+        assert batch == 1 or batch >= graph_core._VECTOR_MIN
+        g, rng = Graph(n0), _rng(n0 + batch)
+        counts, expected = np.zeros(nb, dtype=np.int64), np.zeros(nb)
+        for _ in range(self.SPAWNS // batch):
+            v = np.arange(g.n_nodes, g.n_nodes + batch)  # the new nodes
+            anchors = rng.integers(0, v)  # any node older than its spawn
+            lo, hi = add_nodes_linked(g, anchors, k, rng)
+            assert np.bincount(hi - v[0], minlength=batch).tolist() == [k + 1] * batch
+            nbrs = lo[np.lexsort((lo, hi))].reshape(batch, k + 1)
+            # Each node links its anchor once, and k distinct older nodes.
+            is_anchor = nbrs == anchors[:, None]
+            assert (is_anchor.sum(axis=1) == 1).all()
+            extras = nbrs[~is_anchor].reshape(batch, k)
+            assert (np.diff(extras, axis=1) > 0).all() and (extras < v[:, None]).all()
+            pool = v[:, None] - 1
+            pos = extras - (extras > anchors[:, None])
+            counts += np.bincount((pos * nb // pool).ravel(), minlength=nb)
+            # Slice b holds the positions from ceil(b * pool / nb) on.
+            starts = -(-np.arange(nb + 1) * pool // nb)
+            expected += k * (np.diff(starts, axis=1) / pool).sum(axis=0)
+        n = int(counts.sum())
+        misses = []
+        for b, (count, mean) in enumerate(zip(counts.tolist(), expected.tolist())):
+            low, high = binom.interval(1 - 1e-6, n, mean / n)
+            if not low <= count <= high:
+                misses.append((b, count, round(mean)))
+        assert misses == []
 
 
 class _WordFeed:
