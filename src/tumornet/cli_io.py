@@ -13,8 +13,6 @@ Exit codes: 2 for a config, input or usage error, 3 for any internal fault.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -43,7 +41,13 @@ RUN_CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
 SWEEP_SUMMARY_HEADER = ",".join(f.name for f in fields(CellAggregate))
 SWEEP_RUNS_HEADER = ",".join(f.name for f in fields(RunOutcome))
 
-_SUMMARY_STATISTICS = {c for c in SWEEP_SUMMARY_HEADER.split(",") if c.startswith(("mean_", "std_"))}
+_FIXED = {
+    StepRecord: {"volume_ratio"},
+    CellAggregate: {c for c in SWEEP_SUMMARY_HEADER.split(",") if c.startswith(("mean_", "std_"))},
+    # str() of a float is its shortest round-tripping form, so runs.csv keeps
+    # full precision and read_sweep_runs gets the sweep's records back.
+    RunOutcome: set(),
+}
 
 _TERMINATIONS = frozenset((engine.TERM_MAX_STEPS, engine.TERM_DISCONNECTED, engine.TERM_EXTINCT))
 _TCI_VALUES = frozenset(["", *(c.value for c in TciClass)])
@@ -93,39 +97,38 @@ def _write_text(*files: tuple[str | Path, str]) -> None:
         raise
 
 
-def _cell(kind: type, text: str):
-    """text read as kind: an int only as str() writes it, a float without whitespace or '_'."""
-    value = kind(text)
-    if kind is int and str(value) != text or kind is float and ("_" in text or text != text.strip()):
-        raise ValueError(text)
-    return value
+def _row_template(record: type) -> str:
+    """The str.format template of a row of record's table: .6f in the _FIXED columns."""
+    return ",".join("{:.6f}" if f.name in _FIXED[record] else "{}" for f in fields(record))
 
 
 def _read_records(path: str | Path, record: type, what: str, fault=lambda r: None) -> list:
     """Read a CSV table written from the dataclass record back into records.
 
     The header must be record's field names, and each data row becomes one
-    record, each cell read as its field's type by _cell; blank rows are skipped.
+    record, each cell read as its field's type; blank lines are skipped.
     Another header, or no data row at all, is an InputError. So is a row
     with more or fewer cells than the header, a cell its type cannot read,
-    or a record for which fault returns a reason; the error names the row.
+    a row _row_template would not write from its record, or a record for
+    which fault returns a reason; the error names the row.
     """
     hints = get_type_hints(record)  # the fields' types, in field order
-    reader = csv.reader(io.StringIO(_read_text(path, what)))
-    if next(reader, None) != list(hints):
+    template = _row_template(record)
+    header, *lines = _read_text(path, what).split("\n")
+    if header != ",".join(hints):
         raise InputError(f"{path}: header does not match the expected schema ({','.join(hints)})")
     records = []
-    for row in filter(None, reader):
+    for line in filter(None, lines):
+        row = line.split(",")
         if len(row) != len(hints):
             reason = "malformed row"
         else:
             try:
-                values = [_cell(t, v) for t, v in zip(hints.values(), row)]
+                rec = record(*(t(v) for t, v in zip(hints.values(), row)))
             except ValueError:
                 reason = "malformed row (a non-numeric or non-finite cell)"
             else:
-                rec = record(*values)
-                reason = fault(rec)
+                reason = "malformed row" if template.format(*vars(rec).values()) != line else fault(rec)
         if reason:
             raise InputError(f"{reason} in {path}: {row!r}")
         records.append(rec)
@@ -253,20 +256,20 @@ def parse_sweep_spec(text: str) -> SweepSpec:
 # file emission
 
 
-def _format_table(header: str, records: list, fixed: set[str]) -> str:
-    """A CSV table: the header, then one row per record of its field values
-    in column order, each as str() writes it, or in .6f notation if its
-    column is in fixed."""
-    row = ",".join("{:.6f}" if c in fixed else "{}" for c in header.split(",")) + "\n"
+def _format_table(record: type, records: list) -> str:
+    """A CSV table: the header of record's field names, then one row per
+    record of its field values in column order, as _row_template writes them."""
+    header = ",".join(f.name for f in fields(record))
+    row = _row_template(record)
     # A dataclass instance's __dict__ holds its fields in declaration order,
     # as __init__ sets them.
-    return "".join([header, "\n", *(row.format(*vars(r).values()) for r in records)])
+    return "\n".join([header, *(row.format(*vars(r).values()) for r in records), ""])
 
 
 def format_run_csv(series: TimeSeries) -> str:
     if not series.records:
         raise InputError("cannot write a CSV for an empty series")
-    return _format_table(RUN_CSV_HEADER, series.records, {"volume_ratio"})
+    return _format_table(StepRecord, series.records)
 
 
 def summarize_run(
@@ -284,13 +287,11 @@ def summarize_run(
 
 
 def format_sweep_summary(cells: list[CellAggregate]) -> str:
-    return _format_table(SWEEP_SUMMARY_HEADER, cells, _SUMMARY_STATISTICS)
+    return _format_table(CellAggregate, cells)
 
 
 def format_sweep_runs(outcomes: list[RunOutcome]) -> str:
-    # str() of a float is its shortest round-tripping form, so volume_ratio
-    # keeps full precision and read_sweep_runs gets the same records back.
-    return _format_table(SWEEP_RUNS_HEADER, outcomes, set())
+    return _format_table(RunOutcome, outcomes)
 
 
 def _run_fault(run: RunOutcome) -> str | None:
@@ -322,7 +323,7 @@ def _run_fault(run: RunOutcome) -> str | None:
 def read_sweep_runs(path: str | Path) -> list[RunOutcome]:
     """Parse a runs table written by format_sweep_runs back into its records.
 
-    A row must have every column, parse with the field types, name a
+    A row must be in the form format_sweep_runs writes, name a
     known termination reason and tci class ("" for undefined), keep its
     configuration columns within tumor_model.BOUNDS, have a step count,
     four cell counts and an edge count that are not negative, with the cell
@@ -407,9 +408,8 @@ def _plot_fault(c: CellAggregate) -> str | None:
 def plot_svg(input_path: str | Path, kind: str, out_path: str | Path) -> None:
     """Render a run time series or a sweep summary as a deterministic SVG.
 
-    The input is read back into the records it was written from, so every
-    cell must read as its column's type. A plotted float must be finite
-    too: a nan or inf would put "nan" coordinates into the SVG.
+    The input reads only in the exact form tumornet writes it, and a plotted
+    float must be finite: a nan or inf would put "nan" coordinates into the SVG.
     """
     if kind == "timeseries":
         records = _read_records(input_path, StepRecord, "input file")
@@ -490,6 +490,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         spec = parse_sweep_spec(_read_text(args.spec, "sweep spec"))
     workers = args.workers if args.workers is not None else _default_workers()
+    kept_rows = spec.n_runs * (spec.max_steps + 1)  # the most, if no run ends early
+    if args.keep_runs and kept_rows > tumor_model._KEPT_ROW_LIMIT:
+        raise InputError(
+            f"--keep-runs may keep {kept_rows:,} run.csv rows, more than the "
+            f"{tumor_model._KEPT_ROW_LIMIT:,} allowed; lower max_steps or the grid, or drop --keep-runs"
+        )
     out_dir = _out_dir(args.out)
     # A run file that this sweep would not replace would sit beside a
     # runs.csv that does not list it.

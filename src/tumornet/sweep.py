@@ -50,8 +50,9 @@ class SweepSpec:
 
     Cells enumerate csc_counts outermost, then angiogenesis, recovery,
     quiescence, K; the seed index varies innermost. Every grid dimension
-    must be non-empty, and every value must satisfy the bound of the
-    field it becomes; construction raises ConfigError otherwise.
+    must be non-empty, every value must satisfy the bound of the field it
+    becomes, and the grid may hold at most tumor_model._RUN_LIMIT runs;
+    construction raises ConfigError otherwise.
     """
 
     csc_counts: tuple[int, ...]
@@ -74,6 +75,11 @@ class SweepSpec:
                 values = (getattr(self, name),)
             for value in values:
                 check_bound(name, value, bound)
+        if self.n_runs > tumor_model._RUN_LIMIT:
+            raise ConfigError(
+                f"the grid has {self.n_runs:,} runs, more than the {tumor_model._RUN_LIMIT:,} allowed",
+                "seeds_per_cell",
+            )
 
     @property
     def n_cells(self) -> int:

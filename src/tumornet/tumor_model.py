@@ -118,6 +118,17 @@ MEDIUM_FACTORS = ControlFactors(**{factor: row["medium"] for factor, row in FACT
 # holds about 600,000.
 _START_LIMIT = 10_000_000
 
+# The most runs one sweep may hold, and the most run.csv rows a sweep with
+# --keep-runs may keep. A run costs about 800 B until the sweep ends: a
+# 100,000-run sweep peaked 77 MiB above its start, half of it the configs
+# and tasks built before the first run. A kept row costs 25-40 B of text:
+# 476,314 rows took 11 MiB more than the same sweep without them, and
+# connected_500's run.csv is 20,170 B for 501 rows (Python 3.11, numpy 2.4,
+# x86-64). So each keeps a sweep near 0.8 GiB at most, while fig4's 1,350
+# runs keep at most 676,350 rows.
+_RUN_LIMIT = 1_000_000
+_KEPT_ROW_LIMIT = 20_000_000
+
 
 @dataclass(frozen=True)
 class ModelConfig:

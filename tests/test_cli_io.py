@@ -9,19 +9,23 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tumornet import engine, graph_core, sweep
+from tumornet import engine, graph_core, sweep, tumor_model
 from tumornet.cli_io import (
     _CONFIG_KEYS,
+    _FIXED,
     _SPEC_KEYS,
     RUN_CSV_HEADER,
     SWEEP_RUNS_HEADER,
     SWEEP_SUMMARY_HEADER,
     InputError,
+    _format_table,
+    _read_records,
     _write_text,
     format_run_csv,
     format_sweep_runs,
@@ -34,7 +38,7 @@ from tumornet.cli_io import (
     summarize_run,
 )
 from tumornet.engine import StepRecord, TimeSeries, run
-from tumornet.sweep import RunOutcome, SweepSpec, aggregate, run_sweep
+from tumornet.sweep import CellAggregate, RunOutcome, SweepSpec, aggregate, run_sweep
 from tumornet.tumor_model import (
     BOUNDS,
     FACTOR_LEVELS,
@@ -58,6 +62,41 @@ def _write(path, text):
 
 
 CONNECTED_CONFIG = "n_initial=60\np=0.12\nmax_steps=5\nseed=3\n"
+
+TABLE_RECORDS = (StepRecord, CellAggregate, RunOutcome)
+
+
+def _records(record):
+    """Lists of records of the type of one table's rows. A .6f column holds
+    values that .6f notation writes exactly, so written rows read back as
+    the same records."""
+    def cell(name, kind):
+        if kind is int:
+            return st.integers()
+        if kind is str:
+            # Often the quotes and blanks a CSV parser or a trim would drop. Never
+            # "\r": files are read in text mode, which reads it as a line end.
+            return st.text('" \t') | st.text(st.characters(exclude_characters=",\n\r"))
+        if name in _FIXED[record]:
+            return st.floats().map(lambda v: float(f"{v:.6f}"))
+        return st.floats()
+
+    fields_ = {name: cell(name, kind) for name, kind in get_type_hints(record).items()}
+    return st.lists(st.builds(record, **fields_), min_size=1, max_size=4)
+
+
+# Other spellings of a written cell. A spelling the reader accepts must be
+# the one the writer writes.
+_RESPELLINGS = (
+    lambda c: " " + c,
+    lambda c: c + " ",
+    lambda c: f'"{c}"',
+    lambda c: c + "0",
+    lambda c: "+" + c,
+    lambda c: repr(float(c)),
+    lambda c: f"{float(c):e}",
+    lambda c: f"{float(c):.3f}",
+)
 
 
 class TestParseConfig:
@@ -477,6 +516,47 @@ class TestSweepTables:
             read_sweep_runs(tmp_path / "absent.csv")
 
 
+# hypothesis tests a given method with one executor, so the parametrized
+# property tests stand outside the test classes.
+@pytest.mark.parametrize("record", TABLE_RECORDS, ids=lambda r: r.__name__)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_written_records_read_back(record, data):
+    records = data.draw(_records(record))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text(_format_table(record, records))
+        read = _read_records(path, record, "table")
+    # repr tells nan from nan and -0.0 from 0.0, which == does not.
+    assert list(map(repr, read)) == list(map(repr, records))
+
+
+@pytest.mark.parametrize("record", TABLE_RECORDS, ids=lambda r: r.__name__)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_respelled_cell_reads_only_as_written(record, data):
+    # Edit one cell of a written table each way: the reader rejects the
+    # table, or writing what it read gives the edited table back.
+    lines = _format_table(record, data.draw(_records(record))).split("\n")
+    row = data.draw(st.integers(1, len(lines) - 2))
+    column = data.draw(st.integers(0, len(lines[row].split(",")) - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        for respell in _RESPELLINGS:
+            cells = lines[row].split(",")
+            try:
+                cells[column] = respell(cells[column])
+            except ValueError:  # a float spelling of a cell float() cannot read
+                continue
+            text = "\n".join([*lines[:row], ",".join(cells), *lines[row + 1:]])
+            path.write_text(text)
+            try:
+                read = _read_records(path, record, "table")
+            except InputError:
+                continue
+            assert _format_table(record, read) == text
+
+
 class TestPlotSvg:
     def _run_csv(self, tmp_path):
         cfg = parse_config(CONNECTED_CONFIG)
@@ -516,7 +596,7 @@ class TestPlotSvg:
 
     def test_non_numeric_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(RUN_CSV_HEADER + "\n0,4,8,four,0,0,0,2.0\n")
+        path.write_text(RUN_CSV_HEADER + "\n0,4,8,four,0,0,0,2.000000\n")
         with pytest.raises(InputError, match="non-numeric"):
             plot_svg(path, "timeseries", tmp_path / "chart.svg")
 
@@ -524,7 +604,7 @@ class TestPlotSvg:
         # A nan count once gave points="350.00,nan" and exit 0.
         path = tmp_path / "run.csv"
         for value in ("nan", "inf"):
-            path.write_text(RUN_CSV_HEADER + f"\n0,4,8,4,0,0,0,2.0\n1,4,8,{value},0,0,0,2.0\n")
+            path.write_text(RUN_CSV_HEADER + f"\n0,4,8,4,0,0,0,2.000000\n1,4,8,{value},0,0,0,2.000000\n")
             with pytest.raises(InputError, match="non-finite"):
                 plot_svg(path, "timeseries", tmp_path / "chart.svg")
         out = tmp_path / "cli.svg"
@@ -552,7 +632,7 @@ class TestPlotSvg:
         # as non-numeric.
         path = tmp_path / "run.csv"
         out = tmp_path / "chart.svg"
-        for row in ("0,4,8,4,0,0,0,2.0,9", "0,4"):
+        for row in ("0,4,8,4,0,0,0,2.000000,9", "0,4"):
             path.write_text(RUN_CSV_HEADER + f"\n{row}\n")
             code, _, err = _cli(["plot", "--input", str(path), "--kind", "timeseries", "--out", str(out)])
             assert code == 2
@@ -560,18 +640,27 @@ class TestPlotSvg:
             assert not out.exists()
 
     def test_unplotted_cell_must_read_as_its_type(self, tmp_path):
-        # volume_ratio is not drawn, but each row is read back as a StepRecord,
-        # and an int cell only in the form str() writes (int() reads 1_0 as 10).
-        path = tmp_path / "run.csv"
+        # volume_ratio and mean_volume_ratio are not drawn, but each row is read
+        # back as its record, and only in the form tumornet writes it: int()
+        # reads 1_0 as 10, and a .6f column holds 2.000000, not 2.0.
+        summary_row = "0,40,4,0.2,0.3,0.5,2,{},1.414214,0.000000,0.000000,0.000000,0.000000,0,0,0"
         out = tmp_path / "chart.svg"
-        for row in ("0,4,8,4,0,0,0,two", "1_0,4,8,4,0,0,0,2.0"):
-            path.write_text(RUN_CSV_HEADER + f"\n{row}\n")
-            code, _, err = _cli(["plot", "--input", str(path), "--kind", "timeseries", "--out", str(out)])
+        unreadable = "malformed row (a non-numeric or non-finite cell)"
+        for kind, header, row, reason in (
+            ("timeseries", RUN_CSV_HEADER, "0,4,8,4,0,0,0,two", unreadable),
+            ("timeseries", RUN_CSV_HEADER, "1_0,4,8,4,0,0,0,2.000000", "malformed row"),
+            ("timeseries", RUN_CSV_HEADER, "0,4,8,4,0,0,0,2.0", "malformed row"),
+            ("sweep", SWEEP_SUMMARY_HEADER, summary_row.format("2.0"), "malformed row"),
+        ):
+            path = tmp_path / f"{kind}.csv"
+            path.write_text(header + f"\n{row}\n")
+            code, _, err = _cli(["plot", "--input", str(path), "--kind", kind, "--out", str(out)])
             assert code == 2
-            assert err == (
-                f"error: malformed row (a non-numeric or non-finite cell) in {path}: {row.split(',')!r}\n"
-            )
+            assert err == f"error: {reason} in {path}: {row.split(',')!r}\n"
             assert not out.exists()
+        # The same summary row as written plots.
+        path.write_text(SWEEP_SUMMARY_HEADER + "\n" + summary_row.format("2.000000") + "\n")
+        assert _cli(["plot", "--input", str(path), "--kind", "sweep", "--out", str(out)])[0] == 0
 
     def test_missing_output_directories_are_created(self, tmp_path):
         src = self._run_csv(tmp_path)
@@ -883,6 +972,37 @@ class TestCli:
         assert code == 2 and "10,000,000 allowed" in err and "Traceback" not in err
         assert not (tmp_path / "s" / "runs.csv").exists()
 
+    def test_oversized_sweep_exits_2_before_any_run(self, tmp_path, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("a sweep was expanded or a run started")
+
+        monkeypatch.setattr(sweep, "expand", unexpected)
+        monkeypatch.setattr(tumor_model, "init_model", unexpected)
+        out = tmp_path / "s"
+        # 40,000 runs of up to 501 rows each.
+        many_rows = "csc_counts=40\nseeds_per_cell=40000\nmax_steps=500\n"
+        for text, flags, message in (
+            ("csc_counts=40,60\nseeds_per_cell=500001\n", [],
+             "error: line 2: the grid has 1,000,002 runs, more than the 1,000,000 allowed\n"),
+            (many_rows, ["--keep-runs"],
+             "error: --keep-runs may keep 20,040,000 run.csv rows, more than the 20,000,000 allowed; "
+             "lower max_steps or the grid, or drop --keep-runs\n"),
+        ):
+            spec = _write(tmp_path / "grid.cfg", text)
+            code, _, err = _cli(["sweep", "--spec", spec, "--out", str(out), *flags])
+            assert (code, err) == (2, message)
+            assert not out.exists()
+        # At the row limit, without --keep-runs, and fig4 with it, the sweep
+        # goes on to expand its grid.
+        at_limit = "csc_counts=40\nseeds_per_cell=40000\nmax_steps=499\n"
+        for source, flags in (
+            (["--spec", _write(tmp_path / "grid.cfg", at_limit)], ["--keep-runs"]),
+            (["--spec", _write(tmp_path / "big.cfg", many_rows)], []),
+            (["--preset", "fig4"], ["--keep-runs"]),
+        ):
+            code, _, err = _cli(["sweep", *source, "--out", str(out), *flags])
+            assert code == 3 and "a sweep was expanded or a run started" in err
+
     def test_sweep_invalid_spec(self, tmp_path):
         spec = _write(tmp_path / "grid.cfg", "csc_counts=\n")
         code, _, err = _cli(["sweep", "--spec", spec, "--out", str(tmp_path / "s")])
@@ -905,12 +1025,15 @@ class TestCli:
         non_numeric = RUNS_ROW_CELL_1.replace(",4,", ",four,", 1)
         short = RUNS_ROW_CELL_1[: RUNS_ROW_CELL_1.rindex(",")]
         # Cells that int() or float() read as the row's own values, in forms
-        # no sweep writes; such edits of a sweep's runs.csv once went through
-        # analyze with exit 0 and the sweep's summary.csv.
+        # no sweep writes, and a quoted cell, which a CSV parser reads as its
+        # value; such edits of a sweep's runs.csv once went through analyze
+        # with exit 0 and the sweep's summary.csv.
         forms = []
         for column, cell in (
             ("n_initial", "4_0"), ("n_initial", "+40"), ("n_initial", "\u0664\u0660"), ("seed", " 0"),
-            ("angiogenesis", "0_0.2"), ("volume_ratio", " 2.0"), ("volume_ratio", "0_2.0"),
+            ("run_id", " 0"), ("angiogenesis", "0_0.2"), ("angiogenesis", "0.20"), ("angiogenesis", "2e-1"),
+            ("angiogenesis", '"0.2"'), ("volume_ratio", " 2.0"), ("volume_ratio", "0_2.0"),
+            ("volume_ratio", "2.000e+00"),
         ):
             cells = RUNS_ROW_CELL_1.split(",")
             cells[SWEEP_RUNS_HEADER.split(",").index(column)] = cell
@@ -937,9 +1060,11 @@ class TestCli:
         assert "error: unknown tci 'progresion'" in err and repr(row.split(",")) in err
 
     def test_analyze_unknown_termination(self, tmp_path):
-        row = RUNS_ROW_CELL_0.replace("disconnected", "disconected")
-        err = self._analyze_rows(tmp_path, [row])
-        assert "error: unknown termination 'disconected'" in err and repr(row.split(",")) in err
+        # A quoted cell reads as written, quotes and all.
+        for termination in ("disconected", '"disconnected"'):
+            row = RUNS_ROW_CELL_0.replace("disconnected", termination)
+            err = self._analyze_rows(tmp_path, [row])
+            assert f"error: unknown termination {termination!r}" in err and repr(row.split(",")) in err
 
     def test_analyze_cell_config_disagreement(self, tmp_path):
         # Run 1 of cell 0 edited to another starting population.

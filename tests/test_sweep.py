@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from tumornet import engine, sweep
+from tumornet import engine, sweep, tumor_model
 from tumornet.cli_io import format_run_csv, main
 from tumornet.metrics import TciClass
 from tumornet.sweep import (
@@ -93,6 +93,15 @@ class TestSweepSpec:
             with pytest.raises(ConfigError, match=f"^{field} must be at least") as exc:
                 SweepSpec(csc_counts=(10,), **{field: value})
             assert exc.value.field == field
+
+    def test_run_count_bound(self):
+        # A spec holds only its grid: building one allocates no run.
+        assert tumor_model._RUN_LIMIT == 1_000_000
+        assert SweepSpec(csc_counts=(10, 20), seeds_per_cell=500_000).n_runs == 1_000_000
+        with pytest.raises(ConfigError, match="1,000,002 runs, more than the 1,000,000 allowed") as exc:
+            SweepSpec(csc_counts=(10, 20), seeds_per_cell=500_001)
+        assert exc.value.field == "seeds_per_cell"
+        assert fig4_spec().n_runs == 1_350
 
 
 class TestExpand:

@@ -69,8 +69,10 @@ class TestFactorLevels:
         assert factor_level("quiescence", "medium") == 0.5
         assert factor_level("quiescence", "high") == 1.0
 
-    def test_quiescence_alias(self):
-        assert factor_level("quiescence", "medium") == 0.5
+    def test_quiescent_is_not_a_factor(self):
+        # The quiescent -> quiescence alias is gone; only the field name reads.
+        with pytest.raises(ConfigError, match="unknown control factor 'quiescent'"):
+            factor_level("quiescent", "medium")
 
     def test_unknown_factor(self):
         with pytest.raises(ConfigError):
