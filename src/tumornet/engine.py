@@ -8,7 +8,8 @@ The engine is generic over the model object it drives. A model must expose:
     step_count     int, number of completed steps
     records        list the engine appends StepRecords to
     schedule_rng   numpy Generator used only for activation order
-    live_ids()     ids of live agents in ascending order, as an int array
+    live_ids()     ids of live agents in ascending order, as a fresh int
+                   array, which the engine reorders in place
     activate(ids)  apply one step's transitions: the agents ids, an int
                    array, act once each, in that order; called once per
                    step, unless no agent is live
@@ -121,13 +122,16 @@ def step(model) -> StepRecord:
     """Activate every currently-live agent once, in fresh random order.
 
     The live set is snapshotted before any activation, so agents spawned
-    during the step wait for the next one. The permutation comes from the
-    model's "schedule" stream and is the only randomness consumed here; the
-    model gets the permuted live ids in one activate() call.
+    during the step wait for the next one. The engine shuffles the array
+    live_ids() returns in place, with the model's "schedule" stream, the
+    only randomness consumed here: the same draws and order as indexing
+    it by permutation(len(live)). The model gets the shuffled live ids in
+    one activate() call.
     """
     live = model.live_ids()
     if len(live):
-        model.activate(live[model.schedule_rng.permutation(len(live))])
+        model.schedule_rng.shuffle(live)
+        model.activate(live)
     model.step_count += 1
     record = collect(model)
     model.records.append(record)
@@ -143,10 +147,11 @@ def run(model, max_steps: int) -> TimeSeries:
     the run right after the first step.
 
     The connectivity verdict is exact every step, but only the first check
-    walks the whole graph. Once the graph has been seen connected with
+    searches the whole graph. Once the graph has been seen connected with
     `known` nodes, it stays so while every newer node has an older
     neighbor (graph_core.linked_since); only when one lacks it does the full
-    is_connected search run again.
+    is_connected search run again. A step that appended no node only added
+    edges, if any, so no check runs after it.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
@@ -157,11 +162,12 @@ def run(model, max_steps: int) -> TimeSeries:
     known = 0
     while model.step_count < max_steps:
         record = step(model)
-        g = model.graph
-        if not (graph_core.linked_since(g, known) or graph_core.is_connected(g)):
-            termination = TERM_DISCONNECTED
-            break
-        known = g.n_nodes
+        if record.n_nodes != known:
+            g = model.graph
+            if not (graph_core.linked_since(g, known) or graph_core.is_connected(g)):
+                termination = TERM_DISCONNECTED
+                break
+            known = record.n_nodes
         if record.count_live == 0:
             termination = TERM_EXTINCT
             break

@@ -6,9 +6,9 @@ smaller id, and its edges as two int64 endpoint arrays (smaller id first)
 in the order they were added. Each array has room past its used length and
 doubles when an append fills it; Graph._append is the one path for new
 nodes and their edges. Graph.degrees is the length-n_nodes view of the
-degrees. Neighbor queries and the connectivity search read a compressed
-adjacency (CSR) that is built from those arrays on demand and dropped at
-the next change.
+degrees. Only a neighbor query builds a compressed adjacency (CSR) from
+those arrays, on demand, and the next change drops it; the connectivity
+search labels components over the endpoint arrays themselves.
 
 Generation consumes random draws in a canonical order so the edge set is a
 pure function of (n, p, seed), which is what makes golden-file tests and
@@ -124,8 +124,7 @@ class Graph:
         n, m = self._n + count, self._m + len(lo)
         # A new node's slot starts at 0; it may also be the lo of a later one.
         deg = self._deg = with_room(self._deg, n)
-        np.add.at(deg, lo, 1)
-        np.add.at(deg, hi, 1)
+        np.add.at(deg, np.concatenate((lo, hi)), 1)
         low = self._low = with_room(self._low, n)
         low[hi] = 1
         self._lo, self._hi = with_room(self._lo, m), with_room(self._hi, m)
@@ -286,7 +285,16 @@ def connectivity_threshold(n: int) -> float:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every node is reachable from node 0."""
+    """True iff every node is reachable from node 0.
+
+    Labels the components by array passes over the edge list (hooking and
+    pointer jumping, after Shiloach and Vishkin, J. Algorithms 3(1), 1982).
+    A node's label is a node of its component, never above its own id, and
+    starts as that id. A pass hooks the larger label of each edge's two ends
+    onto the smaller, then has every node take its label's label until
+    nothing moves. Once a pass changes nothing, each component carries its
+    smallest id, so the graph is connected iff every label is 0.
+    """
     n = g.n_nodes
     if n == 0:
         raise ValueError("connectivity is undefined for an empty graph")
@@ -294,19 +302,20 @@ def is_connected(g: Graph) -> bool:
     # unreachable from it, so the search can be skipped.
     if n > 1 and not g.degrees.all():
         return False
-    ptr, nbrs = g._adjacency()
-    seen = bytearray(n)
-    seen[0] = 1
-    count = 1
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in nbrs[ptr[i] : ptr[i + 1]]:
-            if not seen[j]:
-                seen[j] = 1
-                count += 1
-                stack.append(j)
-    return count == n
+    lo, hi = g._endpoints()
+    comp = np.arange(n)
+    while True:
+        before = comp.copy()
+        a, b = comp[lo], comp[hi]
+        np.minimum.at(comp, a, b)
+        np.minimum.at(comp, b, a)
+        while True:
+            up = comp[comp]
+            if np.array_equal(up, comp):
+                break
+            comp = up
+        if np.array_equal(comp, before):
+            return not comp.any()
 
 
 def linked_since(g: Graph, n_known: int) -> bool:
@@ -378,7 +387,8 @@ def add_nodes_linked(
     n0, count = g.n_nodes, len(anchors)
     # Two reductions settle the usual batch, whose anchors all predate it.
     if count and (
-        anchors.min() < 0 or (anchors.max() >= n0 and (anchors - np.arange(n0, n0 + count)).max() >= 0)
+        np.minimum.reduce(anchors) < 0
+        or (np.maximum.reduce(anchors) >= n0 and (anchors - np.arange(n0, n0 + count)).max() >= 0)
     ):
         raise ValueError(f"an anchor node of {anchors.tolist()} does not exist")
     if k_extra < 0:
@@ -403,7 +413,7 @@ def _draw_links(
     reject_from = min(count, max(choice_from, _REJECTION_POOL_MIN + 1 - n0))
     lo = [u for v in range(n0, n0 + choice_from) for u in range(v)]
     hi = [v for v in range(n0, n0 + choice_from) for _ in range(v)]
-    lo_rows, hi_rows = [], []
+    lo_parts, hi_parts = [], []
     words = _Words(rng, (reject_from - choice_from) * (2 * k_extra - 1) + (count - reject_from) * k_extra)
     for start, end, width, rows_of, one in (
         (choice_from, reject_from, 2 * k_extra - 1, _choice_rows, _choice_one),
@@ -417,8 +427,8 @@ def _draw_links(
                 rows = rows_of(w, n0 + j, anchors[j : j + size], k_extra)
                 c = len(rows)
                 words.at += c * width
-                lo_rows.append(rows.ravel())
-                hi_rows.append(np.repeat(np.arange(n0 + j, n0 + j + c), k_extra + 1))
+                lo_parts.append(rows.ravel())
+                hi_parts.append(np.repeat(np.arange(n0 + j, n0 + j + c), k_extra + 1))
                 j += c
                 # After a spawn that reads more words, the rest of the run
                 # is decoded again from the words after it. Blocks of about
@@ -432,10 +442,14 @@ def _draw_links(
             lo.extend(nbrs)
             hi.extend([n0 + j] * len(nbrs))
             j += 1
-    lo, hi = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
-    if lo_rows:
-        lo, hi = np.concatenate((lo, *lo_rows)), np.concatenate((hi, *hi_rows))
-    return lo, hi
+    # The edges decoded word by word come first, then each run of rows; a
+    # lone part is returned as it is.
+    if lo or not lo_parts:
+        lo_parts.insert(0, np.array(lo, dtype=np.intp))
+        hi_parts.insert(0, np.array(hi, dtype=np.intp))
+    if len(lo_parts) == 1:
+        return lo_parts[0], hi_parts[0]
+    return np.concatenate(lo_parts), np.concatenate(hi_parts)
 
 
 # rng.integers(0, r) and rng.choice read the generator's 32-bit words as
@@ -544,10 +558,10 @@ def _choice_rows(w: np.ndarray, n_first: int, anchors: np.ndarray, k: int) -> np
     """
     size = len(anchors)
     base = np.arange(n_first - 1 - k, n_first - 1 - k + size)  # pool - k, spawn by spawn
-    tops = np.concatenate(
-        (base[:, None] + np.arange(1, k + 1), np.broadcast_to(np.arange(k, 1, -1), (size, k - 1))), axis=1
-    )
-    vals, maybe_rejected = _lemire(w, tops.astype(np.uint64))
+    tops = np.empty((size, 2 * k - 1), dtype=np.uint64)
+    tops[:, :k] = base[:, None] + np.arange(1, k + 1)
+    tops[:, k:] = np.arange(k, 1, -1)
+    vals, maybe_rejected = _lemire(w, tops)
     picks = vals[:, :k]
     for t in range(1, k):
         seen = (picks[:, :t] == picks[:, t, None]).any(axis=1)

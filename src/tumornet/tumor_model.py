@@ -379,7 +379,7 @@ def _array_step(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
     act_deg = model.graph._deg[ids]
     if counts[METASTATIC]:
         recovery, spawn_below = model._rows[-1][:2]
-        spawners = np.flatnonzero((s == METASTATIC) & (u >= recovery) & (u < spawn_below))
+        spawners = ((s == METASTATIC) & (u >= recovery) & (u < spawn_below)).nonzero()[0]
         if spawners.size:
             act_deg += _spawn(model, ids, spawners)
     model._thresholds(int(act_deg.max()))

@@ -76,7 +76,8 @@ def _records(record):
         if kind is str:
             # Often the quotes and blanks a CSV parser or a trim would drop. Never
             # "\r": files are read in text mode, which reads it as a line end.
-            return st.text('" \t') | st.text(st.characters(exclude_characters=",\n\r"))
+            # Only characters UTF-8 encodes, so no lone surrogate.
+            return st.text('" \t') | st.text(st.characters(codec="utf-8", exclude_characters=",\n\r"))
         if name in _FIXED[record]:
             return st.floats().map(lambda v: float(f"{v:.6f}"))
         return st.floats()

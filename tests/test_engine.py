@@ -1,6 +1,7 @@
 """Run loop, scheduling, and rng stream behavior, tested with stub models."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -286,6 +287,31 @@ class TestRun:
         assert series.termination == TERM_MAX_STEPS
         assert series.records[-1].n_nodes == 3 + 3 * 50
         assert calls == [6]
+
+    def test_steps_that_append_no_node_run_no_check(self):
+        m = StubModel(_connected_graph(4), n_agents=4)
+
+        def add_an_edge_on_step_three(model, agent_id):
+            if model.step_count == 2 and model.graph.n_edges == 3:
+                grow(model.graph, pairs=[(0, 3)])
+
+        m.on_activate = add_an_edge_on_step_three
+        checks = []
+
+        def at_step(check):
+            def recorded(*args):
+                checks.append((check.__name__, m.step_count))
+                return check(*args)
+
+            return recorded
+
+        with mock.patch.object(graph_core, "linked_since", at_step(graph_core.linked_since)), mock.patch.object(
+            graph_core, "is_connected", at_step(graph_core.is_connected)
+        ):
+            series = run(m, max_steps=10)
+        assert series.termination == TERM_MAX_STEPS
+        assert series.records[-1].n_edges == 4
+        assert checks == [("linked_since", 1), ("is_connected", 1)]
 
     def test_negative_max_steps_rejected(self):
         with pytest.raises(ValueError):

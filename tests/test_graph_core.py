@@ -50,6 +50,12 @@ def _edges(g):
     return sorted(zip(lo.tolist(), hi.tolist()))
 
 
+def _shuffled_path(n, rng):
+    """The edges of a path through nodes 0..n-1 in random order."""
+    order = rng.permutation(n).tolist()
+    return list(zip(order, order[1:]))
+
+
 class TestGraph:
     def test_empty(self):
         g = Graph()
@@ -238,6 +244,44 @@ class TestConnectivity:
     def test_empty_graph_errors(self):
         with pytest.raises(ValueError):
             is_connected(Graph(0))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 257, 1000, 2000])
+    def test_shuffled_paths_match_networkx(self, n):
+        rng = _rng(n)
+        path = grow(Graph(), n, _shuffled_path(n, rng))
+        assert is_connected(path) and nx.is_connected(as_networkx(path))
+        # Two paths side by side, their ids interleaved: no node is isolated.
+        order = rng.permutation(2 * n).tolist()
+        halves = order[:n], order[n:]
+        two = grow(Graph(), 2 * n, [pair for h in halves for pair in zip(h, h[1:])])
+        assert two.degrees.all()
+        assert not is_connected(two) and not nx.is_connected(as_networkx(two))
+
+    def test_long_shuffled_path_and_its_halves(self):
+        n = 100_000
+        pairs = _shuffled_path(n, _rng(1))
+        assert is_connected(grow(Graph(), n, pairs))
+        assert not is_connected(grow(Graph(), n, pairs[: n // 2] + pairs[n // 2 + 1 :]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        p=st.floats(0.0, 0.3),
+        spawns=st.integers(0, 30),
+        isolated=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_grown_graphs_match_networkx(self, n, p, spawns, isolated, seed):
+        rng = _rng(seed)
+        g = generate_er(n, p, rng)
+        add_nodes_linked(g, rng.integers(0, n, spawns), int(rng.integers(0, 4)), rng)
+        grow(g, isolated)
+        assert is_connected(g) == nx.is_connected(as_networkx(g))
+        # Link each appended node to an older one: the search now runs
+        # unless the start had an isolated node.
+        m = g.n_nodes
+        grow(g, pairs=[(v, int(rng.integers(0, v))) for v in range(m - isolated, m)])
+        assert is_connected(g) == nx.is_connected(as_networkx(g))
 
     def test_monte_carlo_threshold_bands(self):
         n, seeds = 200, 200
