@@ -2,13 +2,13 @@
 
 A Graph holds no container per node. It keeps the degrees in one int64
 array, one byte per node that says whether the node has a neighbor with a
-smaller id, and its edges as two int64 endpoint arrays (smaller id first)
-in the order they were added. Each array has room past its used length and
-doubles when an append fills it; Graph._append is the one path for new
-nodes and their edges. Graph.degrees is the length-n_nodes view of the
-degrees. Only a neighbor query builds a compressed adjacency (CSR) from
-those arrays, on demand, and the next change drops it; the connectivity
-search labels components over the endpoint arrays themselves.
+smaller id (linked_since reads it), and its edges as two int64 endpoint
+arrays (smaller id first) in the order they were added. Each array has room
+past its used length and doubles when an append fills it; Graph._append is
+the one path for new nodes and their edges, and a Graph holds nothing else.
+Graph.degrees is the length-n_nodes view of the degrees. A neighbor query
+passes over every edge on each call; the connectivity search labels
+components over the endpoint arrays too.
 
 Generation consumes random draws in a canonical order so the edge set is a
 pure function of (n, p, seed), which is what makes golden-file tests and
@@ -76,7 +76,7 @@ class Graph:
     removed.
     """
 
-    __slots__ = ("_n", "_deg", "_low", "_m", "_lo", "_hi", "_csr")
+    __slots__ = ("_n", "_deg", "_low", "_m", "_lo", "_hi")
 
     def __init__(self, n_nodes: int = 0):
         if n_nodes < 0:
@@ -92,8 +92,6 @@ class Graph:
         self._m = 0
         self._lo = np.zeros(0, dtype=np.int64)
         self._hi = np.zeros(0, dtype=np.int64)
-        # The CSR adjacency of _adjacency, until the graph next changes.
-        self._csr: tuple[list[int], list[int]] | None = None
         self._append(n_nodes, _NO_NODES, _NO_NODES)
 
     @property
@@ -110,14 +108,11 @@ class Graph:
         return self._m
 
     def neighbors(self, i: NodeId) -> set[int]:
-        """Neighbor ids of node i, as a fresh set."""
-        self._check_node(i)
-        ptr, nbrs = self._adjacency()
-        return set(nbrs[ptr[i] : ptr[i + 1]])
-
-    def _check_node(self, i: int) -> None:
+        """Neighbor ids of node i, as a fresh set; each call reads every edge."""
         if not 0 <= i < self._n:
             raise ValueError(f"node {i} does not exist")
+        lo, hi = self._endpoints()
+        return set(hi[lo == i].tolist()).union(lo[hi == i].tolist())
 
     def _append(self, count: int, lo: np.ndarray, hi: np.ndarray) -> None:
         """Append count nodes and the new edges (lo[k], hi[k]), lo < hi."""
@@ -130,22 +125,10 @@ class Graph:
         self._lo, self._hi = with_room(self._lo, m), with_room(self._hi, m)
         self._lo[self._m : m], self._hi[self._m : m] = lo, hi
         self._n, self._m = n, m
-        self._csr = None
 
     def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges as (lo, hi) arrays: views that the next append may detach."""
         return self._lo[: self._m], self._hi[: self._m]
-
-    def _adjacency(self) -> tuple[list[int], list[int]]:
-        """CSR adjacency: the neighbors of i are nbrs[ptr[i]:ptr[i + 1]]."""
-        if self._csr is None:
-            lo, hi = self._endpoints()
-            order = np.argsort(np.concatenate((lo, hi)))
-            nbrs = np.concatenate((hi, lo))[order].tolist()
-            ptr = np.zeros(self._n + 1, dtype=np.int64)
-            np.cumsum(self.degrees, out=ptr[1:])
-            self._csr = (ptr.tolist(), nbrs)
-        return self._csr
 
     def __eq__(self, other: object):
         if not isinstance(other, Graph):

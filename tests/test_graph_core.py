@@ -405,8 +405,8 @@ class TestGraphMatchesNetworkx:
         g = generate_er(n, p, _rng(seed))
         h = _nx_er(n, p, seed)
         rng = _rng(seed + 1)
-        # Checking only after some operations lets the lazily built views go
-        # stale across several changes before they are read again.
+        # Checking only after some operations reads the arrays only after
+        # several appends in a row, which may have doubled them in between.
         for op, check, k, args in [("none", True, 0, [])] + ops:
             n = g.n_nodes
             if op == "node":
