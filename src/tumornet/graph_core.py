@@ -22,7 +22,11 @@ batch reads those draws as numpy 2.x's Lemire draws on the generator's
 only when a draw needs them, and decodes them itself. So the edge set,
 though not the edge order, and the generator's end state are those of the
 draws made node by node. A property test pins the decoding to numpy's own
-calls.
+calls. Past _REJECTION_POOL_MIN nodes a node's k words are its k extras
+unless it is flagged: a word may be rejected, or an extra repeats or is
+its anchor. Fewer than _VECTOR_MIN such nodes are checked in one pass over
+Python ints, more in array passes; a flagged node alone is decoded word by
+word, and the pass resumes after it.
 
 A Graph only grows: nodes are appended, edges are added, and nothing is
 ever removed. Nodes that were connected to each other therefore stay
@@ -357,10 +361,15 @@ def add_nodes_linked(
     _Words), and the batch decodes them itself from one rng.integers call
     that reads a word per draw, with one more call for each time the reads
     run past it. So rng ends in the state the one-by-one draws leave. A
-    property test pins this decoding to numpy's calls. Runs of at least
-    _VECTOR_MIN spawns in one regime are decoded as array operations, up
-    to the first spawn whose words are rejected or whose picks repeat; that
-    spawn is decoded word by word and the run goes on after it.
+    property test pins this decoding to numpy's calls. Spawns that sample
+    like rng.choice decode as array operations in runs of at least
+    _VECTOR_MIN and word by word in shorter ones. Spawns that sample by
+    rejection read k_extra words each: fewer than _VECTOR_MIN of them
+    decode in one pass over Python ints, more in array passes that fill one
+    row per spawn. A spawn is flagged when one of its words may be rejected
+    or, by rejection, when its picks repeat or include its anchor. A flagged
+    spawn is decoded word by word on its own, and the pass resumes with the
+    words after it.
 
     Raises:
         ValueError: If an anchor does not exist when its node is appended,
@@ -394,37 +403,48 @@ def _draw_links(
     # _REJECTION_POOL_MIN, and rejection-samples past that.
     choice_from = min(count, max(0, k_extra + 2 - n0))
     reject_from = min(count, max(choice_from, _REJECTION_POOL_MIN + 1 - n0))
+    words = _Words(rng, (reject_from - choice_from) * (2 * k_extra - 1) + (count - reject_from) * k_extra)
+    if not reject_from:
+        return _distinct_links(words, n0, anchors, k_extra)
+    lo, hi = _choice_links(words, n0, anchors[:reject_from], k_extra, choice_from)
+    if reject_from == count:
+        return lo, hi
+    lo_r, hi_r = _distinct_links(words, n0 + reject_from, anchors[reject_from:], k_extra)
+    return np.concatenate((lo, lo_r)), np.concatenate((hi, hi_r))
+
+
+def _choice_links(
+    words: _Words, n0: int, anchors: np.ndarray, k_extra: int, choice_from: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of spawns that link all older nodes, up to choice_from, then sample like rng.choice."""
+    count = len(anchors)
     lo = [u for v in range(n0, n0 + choice_from) for u in range(v)]
     hi = [v for v in range(n0, n0 + choice_from) for _ in range(v)]
     lo_parts, hi_parts = [], []
-    words = _Words(rng, (reject_from - choice_from) * (2 * k_extra - 1) + (count - reject_from) * k_extra)
-    for start, end, width, rows_of, one in (
-        (choice_from, reject_from, 2 * k_extra - 1, _choice_rows, _choice_one),
-        (reject_from, count, k_extra, _distinct_rows, _distinct_one),
-    ):
-        j, window = start, end - start
-        while j < end:
-            if end - j >= _VECTOR_MIN:
-                size = min(window, end - j)
-                w = words.ahead(size * width).reshape(size, width)
-                rows = rows_of(w, n0 + j, anchors[j : j + size], k_extra)
-                c = len(rows)
-                words.at += c * width
-                lo_parts.append(rows.ravel())
-                hi_parts.append(np.repeat(np.arange(n0 + j, n0 + j + c), k_extra + 1))
-                j += c
-                # After a spawn that reads more words, the rest of the run
-                # is decoded again from the words after it. Blocks of about
-                # twice the spawns that went through keep frequent ones
-                # (k_extra large against the node count) from decoding the
-                # rest of a large batch over and over.
-                window = max(_VECTOR_MIN, 2 * (c + 1))
-                if c == size:
-                    continue
-            nbrs = one(words, n0 + j, anchors.item(j), k_extra)
-            lo.extend(nbrs)
-            hi.extend([n0 + j] * len(nbrs))
-            j += 1
+    width = 2 * k_extra - 1
+    j, window = choice_from, count - choice_from
+    while j < count:
+        if count - j >= _VECTOR_MIN:
+            size = min(window, count - j)
+            w = words.ahead(size * width).reshape(size, width)
+            rows = _choice_rows(w, n0 + j, anchors[j : j + size], k_extra)
+            c = len(rows)
+            words.at += c * width
+            lo_parts.append(rows.ravel())
+            hi_parts.append(np.repeat(np.arange(n0 + j, n0 + j + c), k_extra + 1))
+            j += c
+            # After a spawn that reads more words, the rest of the run is
+            # decoded again from the words after it. Blocks of about twice
+            # the spawns that went through keep frequent ones (k_extra large
+            # against the node count) from decoding the rest of a large
+            # batch over and over.
+            window = max(_VECTOR_MIN, 2 * (c + 1))
+            if c == size:
+                continue
+        nbrs = _choice_one(words, n0 + j, anchors.item(j), k_extra)
+        lo.extend(nbrs)
+        hi.extend([n0 + j] * len(nbrs))
+        j += 1
     # The edges decoded word by word come first, then each run of rows; a
     # lone part is returned as it is.
     if lo or not lo_parts:
@@ -441,8 +461,10 @@ _WORD = 1 << 32
 _LOW = _WORD - 1
 
 # Runs of at least this many spawns in one sampling regime are decoded as
-# array operations, shorter ones word by word in Python ints, which costs
-# less for the one- and two-spawn batches of small populations.
+# array operations. Shorter ones are decoded in Python ints, which costs
+# less for the one- to few-spawn batches that most steps make: word by
+# word while they sample like rng.choice, and past _REJECTION_POOL_MIN in
+# one pass that takes each spawn's k words as its picks.
 _VECTOR_MIN = 12
 
 
@@ -465,7 +487,7 @@ class _Words:
         # rng.integers(2**32, ...) reads one word per value, with a word
         # left over from an earlier draw first.
         self.buf = rng.integers(_WORD, size=due, dtype=np.uint64)
-        self._ints: list[int] = []  # a prefix of buf as Python ints, for bounded
+        self._ints: list[int] = []  # a prefix of buf as Python ints (see ints)
         self.at = 0  # the next word to read
         self.due = due
 
@@ -476,13 +498,20 @@ class _Words:
             self.buf = np.concatenate((self.buf, more))
         return self.buf[self.at : self.at + n]
 
+    def ints(self, n: int) -> list[int]:
+        """buf as Python ints, through at least the n words from at; n is at most due - at."""
+        if self.at + n > len(self._ints):
+            if self.at + n > len(self.buf):
+                self.ahead(n)
+            self._ints = self.buf.tolist()
+        return self._ints
+
     def bounded(self, r: int) -> int:
         """rng.integers(0, r), from the next words."""
         while True:
             at = self.at
             if at >= len(self._ints):
-                self.ahead(1)
-                self._ints = self.buf.tolist()
+                self.ints(1)
             m = self._ints[at] * r
             self.at = at + 1
             # 2**32 % r < r, so the first test settles all but a few words.
@@ -564,14 +593,57 @@ def _distinct_one(words: _Words, n: int, anchor: int, k: int) -> list[int]:
     return list(chosen)
 
 
-def _distinct_rows(w: np.ndarray, n_first: int, anchors: np.ndarray, k: int) -> np.ndarray:
-    """_distinct_one for spawns seeing n_first, n_first + 1, ... nodes, one row of k words each.
+def _distinct_links(
+    words: _Words, n_first: int, anchors: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of spawns that see n_first, n_first + 1, ... nodes and draw like _distinct_one.
 
-    Returns their rows [anchor, k others] up to the first spawn that reads
-    a word that may be rejected, or draws a node twice or its anchor.
+    A spawn's k words are its k picks unless it is flagged: a word may be
+    rejected, or a pick repeats or is its anchor. Under _VECTOR_MIN spawns
+    are checked in one pass over Python ints, more in array passes that fill
+    one (c, k + 1) row array. A flagged spawn is decoded word by word by
+    _distinct_one, and the pass goes on with the words after it.
     """
-    r = np.arange(n_first, n_first + len(anchors), dtype=np.uint64)[:, None]
-    vals, maybe_rejected = _lemire(w, r)
-    rows = np.concatenate((anchors[:, None], vals), axis=1)
-    ranked = np.sort(rows, axis=1)
-    return rows[: _first_row((ranked[:, 1:] == ranked[:, :-1]) | maybe_rejected)]
+    c = len(anchors)
+    if c < _VECTOR_MIN:
+        flat: list[int] = []
+        ints, at = words.ints(c * k), words.at
+        for n, a in zip(range(n_first, n_first + c), anchors.tolist()):
+            row = [a]
+            for w in ints[at : at + k]:
+                m = w * n
+                v = m >> 32
+                # The low half of m is below n for every rejected word.
+                if (m & _LOW) < n or v in row:
+                    words.at = at
+                    row = _distinct_one(words, n, a, k)
+                    ints, at = words.ints((n_first + c - 1 - n) * k), words.at
+                    break
+                row.append(v)
+            else:
+                at += k
+            flat += row
+        words.at = at
+        lo = np.array(flat, dtype=np.intp)
+    else:
+        rows = np.empty((c, k + 1), dtype=np.intp)
+        rows[:, 0] = anchors
+        j, window = 0, c
+        while j < c:
+            size = min(window, c - j)
+            block = rows[j : j + size]
+            r = np.arange(n_first + j, n_first + j + size, dtype=np.uint64)[:, None]
+            block[:, 1:], maybe_rejected = _lemire(words.ahead(size * k).reshape(size, k), r)
+            ranked = np.sort(block, axis=1)
+            good = _first_row((ranked[:, 1:] == ranked[:, :-1]) | maybe_rejected)
+            words.at += good * k
+            j += good
+            # As in _choice_links, blocks of about twice the spawns that went
+            # through keep frequent flags from decoding the rest of a large
+            # batch over and over.
+            window = max(_VECTOR_MIN, 2 * (good + 1))
+            if good < size:
+                rows[j] = _distinct_one(words, n_first + j, anchors.item(j), k)
+                j += 1
+        lo = rows.ravel()
+    return lo, np.arange(n_first, n_first + c).repeat(k + 1)

@@ -598,21 +598,31 @@ class TestAddNodesLinked:
         assert batch == alone
 
     @pytest.mark.parametrize(
-        "n0, zeroed",
+        "n0, count, zeroed, repeated",
         [
             # Spawn 3 samples like rng.choice from 2k - 1 = 5 words a spawn;
             # its word 3 is the shuffle's draw over 3 values.
-            (100, 3 * 5 + 3),
+            pytest.param(100, graph_core._VECTOR_MIN + 4, 3 * 5 + 3, None, id="100-18"),
             # Spawn 2 rejection-samples from k = 3 words a spawn.
-            (6000, 2 * 3),
+            pytest.param(6000, graph_core._VECTOR_MIN + 4, 2 * 3, None, id="6000-6"),
+            # Under _VECTOR_MIN spawns, which decode in Python ints: spawn
+            # 0's second draw, then spawn 1's.
+            pytest.param(6000, 1, 1, None, id="6000-1-1"),
+            pytest.param(6000, 5, 1 * 3 + 1, None, id="6000-5-4"),
+            # Spawn 1's second word is its first, so its second pick
+            # repeats its first.
+            pytest.param(6000, 5, None, 1 * 3 + 1, id="6000-5-repeat-4"),
         ],
     )
-    def test_batch_reads_a_rejected_word_like_one_call_per_anchor(self, n0, zeroed):
+    def test_batch_reads_a_rejected_word_like_one_call_per_anchor(self, n0, count, zeroed, repeated):
         # Word 0 is rejected against any range r with 2**32 % r > 0, such
         # as 3, where the low half of 0 * 3 is 0, below 2**32 % 3 = 1.
         words = _rng(n0).integers(2**32, size=200, dtype=np.uint64).tolist()
-        words[zeroed] = 0
-        anchors = list(range(graph_core._VECTOR_MIN + 4))
+        if zeroed is not None:
+            words[zeroed] = 0
+        else:
+            words[repeated] = words[repeated - 1]
+        anchors = list(range(count))
         batch_feed, alone_feed = _WordFeed(words), _WordFeed(words)
         batch, alone = Graph(n0), Graph(n0)
         add_nodes_linked(batch, anchors, 3, batch_feed)
@@ -623,6 +633,21 @@ class TestAddNodesLinked:
         assert len(batch_feed.words) == len(alone_feed.words) == len(words) - regular - 1
         # The batch draws its regular words at once and the shortfall after.
         assert batch_feed.sizes == [regular, 1]
+
+    def test_a_large_batch_decodes_as_rows_again_after_a_flagged_spawn(self):
+        # Spawn 2's first word is rejected; the 57 spawns after it decode in
+        # array passes again, not one by one.
+        words = _rng(6000).integers(2**32, size=200, dtype=np.uint64).tolist()
+        words[2 * 3] = 0
+        anchors = list(range(60))
+        batch, alone = Graph(6000), Graph(6000)
+        with mock.patch.object(graph_core, "_distinct_one", wraps=graph_core._distinct_one) as one:
+            add_nodes_linked(batch, anchors, 3, _WordFeed(words))
+        assert one.call_count == 1
+        alone_feed = _WordFeed(words)
+        for a in anchors:
+            add_node_linked(alone, a, 3, alone_feed)
+        assert batch == alone
 
     def test_anchor_must_exist_when_its_node_is_appended(self):
         add_nodes_linked(Graph(2), [1, 2], 1, _rng(0))
@@ -661,12 +686,12 @@ class TestGrowthOracle:
             5000,
         ],
     )
-    # One-spawn batches decode word by word, larger ones as rows.
-    @pytest.mark.parametrize("batch", [1, 16])
+    # Batches of 1 and 5 spawns decode in Python ints, 16 as rows.
+    @pytest.mark.parametrize("batch", [1, 5, 16])
     def test_extras_are_uniform_over_older_non_anchor_nodes(self, n0, batch):
         k, nb = self.K_EXTRA, self.BUCKETS
         assert n0 + self.SPAWNS <= graph_core._REJECTION_POOL_MIN or n0 > graph_core._REJECTION_POOL_MIN
-        assert batch == 1 or batch >= graph_core._VECTOR_MIN
+        assert (batch >= graph_core._VECTOR_MIN) == (batch == 16)
         g, rng = Graph(n0), _rng(n0 + batch)
         counts, expected = np.zeros(nb, dtype=np.int64), np.zeros(nb)
         for _ in range(self.SPAWNS // batch):
