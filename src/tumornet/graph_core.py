@@ -22,11 +22,10 @@ batch reads those draws as numpy 2.x's Lemire draws on the generator's
 only when a draw needs them, and decodes them itself. So the edge set,
 though not the edge order, and the generator's end state are those of the
 draws made node by node. A property test pins the decoding to numpy's own
-calls. Past _REJECTION_POOL_MIN nodes a node's k words are its k extras
-unless it is flagged: a word may be rejected, or an extra repeats or is
-its anchor. Fewer than _VECTOR_MIN such nodes are checked in one pass over
-Python ints, more in array passes; a flagged node alone is decoded word by
-word, and the pass resumes after it.
+calls. One driver decodes the nodes of each sampling regime: array passes
+while _VECTOR_MIN or more are left, each up to the first flagged node,
+which alone is decoded word by word; runs of fewer take the regime's short
+form, word by word like rng.choice or one pass over Python ints by rejection.
 
 A Graph only grows: nodes are appended, edges are added, and nothing is
 ever removed. Nodes that were connected to each other therefore stay
@@ -361,15 +360,14 @@ def add_nodes_linked(
     _Words), and the batch decodes them itself from one rng.integers call
     that reads a word per draw, with one more call for each time the reads
     run past it. So rng ends in the state the one-by-one draws leave. A
-    property test pins this decoding to numpy's calls. Spawns that sample
-    like rng.choice decode as array operations in runs of at least
-    _VECTOR_MIN and word by word in shorter ones. Spawns that sample by
-    rejection read k_extra words each: fewer than _VECTOR_MIN of them
-    decode in one pass over Python ints, more in array passes that fill one
-    row per spawn. A spawn is flagged when one of its words may be rejected
-    or, by rejection, when its picks repeat or include its anchor. A flagged
-    spawn is decoded word by word on its own, and the pass resumes with the
-    words after it.
+    property test pins this decoding to numpy's calls. One driver walks the
+    spawns of each sampling regime. While at least _VECTOR_MIN are left,
+    array passes fill one row per spawn up to the first flagged spawn, which
+    is decoded word by word on its own before the passes resume. Runs of
+    fewer take the regime's short form: word by word like rng.choice, or one
+    pass over Python ints that takes a spawn's k_extra words as its picks by
+    rejection. A spawn is flagged when one of its words may be rejected or,
+    by rejection, when its picks repeat or include its anchor.
 
     Raises:
         ValueError: If an anchor does not exist when its node is appended,
@@ -385,7 +383,7 @@ def add_nodes_linked(
         raise ValueError(f"an anchor node of {anchors.tolist()} does not exist")
     if k_extra < 0:
         raise ValueError(f"k_extra must be non-negative, got {k_extra}")
-    if k_extra == 0:
+    if k_extra == 0 or not count:
         lo, hi = anchors, np.arange(n0, n0 + count)
     else:
         lo, hi = _draw_links(n0, anchors, k_extra, rng)
@@ -396,63 +394,63 @@ def add_nodes_linked(
 def _draw_links(
     n0: int, anchors: np.ndarray, k_extra: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of add_nodes_linked with k_extra >= 1, as (lo, hi) arrays."""
+    """The edges of add_nodes_linked with k_extra >= 1 and an anchor or more, as (lo, hi) arrays."""
     count = len(anchors)
     # Spawn j sees n0 + j nodes: it links them all while they number at
     # most k_extra + 1, samples like rng.choice while they number at most
     # _REJECTION_POOL_MIN, and rejection-samples past that.
     choice_from = min(count, max(0, k_extra + 2 - n0))
     reject_from = min(count, max(choice_from, _REJECTION_POOL_MIN + 1 - n0))
-    words = _Words(rng, (reject_from - choice_from) * (2 * k_extra - 1) + (count - reject_from) * k_extra)
-    if not reject_from:
-        return _distinct_links(words, n0, anchors, k_extra)
-    lo, hi = _choice_links(words, n0, anchors[:reject_from], k_extra, choice_from)
-    if reject_from == count:
-        return lo, hi
-    lo_r, hi_r = _distinct_links(words, n0 + reject_from, anchors[reject_from:], k_extra)
-    return np.concatenate((lo, lo_r)), np.concatenate((hi, hi_r))
-
-
-def _choice_links(
-    words: _Words, n0: int, anchors: np.ndarray, k_extra: int, choice_from: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of spawns that link all older nodes, up to choice_from, then sample like rng.choice."""
-    count = len(anchors)
-    lo = [u for v in range(n0, n0 + choice_from) for u in range(v)]
-    hi = [v for v in range(n0, n0 + choice_from) for _ in range(v)]
-    lo_parts, hi_parts = [], []
     width = 2 * k_extra - 1
-    j, window = choice_from, count - choice_from
-    while j < count:
-        if count - j >= _VECTOR_MIN:
-            size = min(window, count - j)
-            w = words.ahead(size * width).reshape(size, width)
-            rows = _choice_rows(w, n0 + j, anchors[j : j + size], k_extra)
-            c = len(rows)
-            words.at += c * width
-            lo_parts.append(rows.ravel())
-            hi_parts.append(np.repeat(np.arange(n0 + j, n0 + j + c), k_extra + 1))
-            j += c
-            # After a spawn that reads more words, the rest of the run is
-            # decoded again from the words after it. Blocks of about twice
-            # the spawns that went through keep frequent ones (k_extra large
-            # against the node count) from decoding the rest of a large
-            # batch over and over.
-            window = max(_VECTOR_MIN, 2 * (c + 1))
-            if c == size:
-                continue
-        nbrs = _choice_one(words, n0 + j, anchors.item(j), k_extra)
-        lo.extend(nbrs)
-        hi.extend([n0 + j] * len(nbrs))
-        j += 1
-    # The edges decoded word by word come first, then each run of rows; a
-    # lone part is returned as it is.
-    if lo or not lo_parts:
-        lo_parts.insert(0, np.array(lo, dtype=np.intp))
-        hi_parts.insert(0, np.array(hi, dtype=np.intp))
-    if len(lo_parts) == 1:
-        return lo_parts[0], hi_parts[0]
-    return np.concatenate(lo_parts), np.concatenate(hi_parts)
+    words = _Words(rng, (reject_from - choice_from) * width + (count - reject_from) * k_extra)
+    # The spawns that link all older nodes come first, then each regime's.
+    lo, hi = [], np.arange(n0 + choice_from, n0 + count).repeat(k_extra + 1)
+    if choice_from:
+        sees = np.arange(n0, n0 + choice_from)
+        lo.append(np.array([u for v in sees.tolist() for u in range(v)], dtype=np.intp))
+        hi = np.concatenate((sees.repeat(sees), hi))
+    if choice_from < reject_from:
+        choice = anchors[choice_from:reject_from]
+        regime = (width, _choice_rows, _choice_one, _choice_few)
+        lo.append(_regime_links(words, n0 + choice_from, choice, k_extra, regime))
+    if reject_from < count:
+        regime = (k_extra, _distinct_rows, _distinct_one, _distinct_few)
+        lo.append(_regime_links(words, n0 + reject_from, anchors[reject_from:], k_extra, regime))
+    return (lo[0] if len(lo) == 1 else np.concatenate(lo)), hi
+
+
+def _regime_links(words: _Words, n_first: int, anchors: np.ndarray, k: int, regime: tuple) -> np.ndarray:
+    """The lo ends of one sampling regime's edges, whose spawns see n_first, n_first + 1, ... nodes.
+
+    regime is (width, rows, one, few), and each spawn's row is [anchor, its
+    k picks]. While _VECTOR_MIN or more spawns are left, rows(w, n, anchors,
+    k, out) fills out from width words a spawn and returns how many come
+    before the first flagged one, which one(words, n, anchor, k) decodes
+    alone. Fewer go to few(words, n, anchors, k), the regime's short form.
+    """
+    width, rows, one, few = regime
+    c = len(anchors)
+    if c < _VECTOR_MIN:
+        return np.array(few(words, n_first, anchors, k), dtype=np.intp)
+    lo = np.empty(c * (k + 1), dtype=np.intp)
+    out = lo.reshape(c, k + 1)
+    j, window = 0, c
+    while c - j >= _VECTOR_MIN:
+        size = min(window, c - j)
+        w = words.ahead(size * width).reshape(size, width)
+        good = rows(w, n_first + j, anchors[j : j + size], k, out[j : j + size])
+        words.at += good * width
+        j += good
+        # Windows of about twice the spawns that went through keep frequent
+        # flags (k large against the node count) from decoding the rest of
+        # a large batch over and over.
+        window = max(_VECTOR_MIN, 2 * (good + 1))
+        if good < size:
+            out[j] = one(words, n_first + j, anchors.item(j), k)
+            j += 1
+    if j < c:
+        lo[j * (k + 1) :] = few(words, n_first + j, anchors[j:], k)
+    return lo
 
 
 # rng.integers(0, r) and rng.choice read the generator's 32-bit words as
@@ -461,10 +459,8 @@ _WORD = 1 << 32
 _LOW = _WORD - 1
 
 # Runs of at least this many spawns in one sampling regime are decoded as
-# array operations. Shorter ones are decoded in Python ints, which costs
-# less for the one- to few-spawn batches that most steps make: word by
-# word while they sample like rng.choice, and past _REJECTION_POOL_MIN in
-# one pass that takes each spawn's k words as its picks.
+# array operations. Shorter ones take the regime's short form in Python
+# ints, which costs less for the one- to few-spawn batches most steps make.
 _VECTOR_MIN = 12
 
 
@@ -499,11 +495,12 @@ class _Words:
         return self.buf[self.at : self.at + n]
 
     def ints(self, n: int) -> list[int]:
-        """buf as Python ints, through at least the n words from at; n is at most due - at."""
-        if self.at + n > len(self._ints):
-            if self.at + n > len(self.buf):
+        """A prefix of buf as Python ints, extended in place through the n words from at; n <= due - at."""
+        end = self.at + n
+        if end > len(self._ints):
+            if end > len(self.buf):
                 self.ahead(n)
-            self._ints = self.buf.tolist()
+            self._ints += self.buf[len(self._ints) : end].tolist()
         return self._ints
 
     def bounded(self, r: int) -> int:
@@ -562,11 +559,11 @@ def _choice_one(words: _Words, n: int, anchor: int, k: int) -> list[int]:
     return [anchor] + [p + (p >= anchor) for p in _choice_picks(words, n - 1, k)]
 
 
-def _choice_rows(w: np.ndarray, n_first: int, anchors: np.ndarray, k: int) -> np.ndarray:
+def _choice_rows(w: np.ndarray, n_first: int, anchors: np.ndarray, k: int, out: np.ndarray) -> int:
     """_choice_one for spawns seeing n_first, n_first + 1, ... nodes, one row of 2k - 1 words each.
 
-    Returns their rows [anchor, k others] up to the first spawn that reads
-    a word that may be rejected.
+    Writes their rows [anchor, k others] to out, and returns how many come
+    before the first spawn that reads a word that may be rejected.
     """
     size = len(anchors)
     base = np.arange(n_first - 1 - k, n_first - 1 - k + size)  # pool - k, spawn by spawn
@@ -578,8 +575,15 @@ def _choice_rows(w: np.ndarray, n_first: int, anchors: np.ndarray, k: int) -> np
     for t in range(1, k):
         seen = (picks[:, :t] == picks[:, t, None]).any(axis=1)
         picks[seen, t] = base[seen] + t
-    picks += picks >= anchors[:, None]
-    return np.concatenate((anchors[:, None], picks), axis=1)[: _first_row(maybe_rejected)]
+    out[:, 0] = anchors
+    out[:, 1:] = picks + (picks >= anchors[:, None])
+    return _first_row(maybe_rejected)
+
+
+def _choice_few(words: _Words, n_first: int, anchors: np.ndarray, k: int) -> list[int]:
+    """_choice_one for spawns seeing n_first, n_first + 1, ... nodes, their neighbors end to end."""
+    words.ints(len(anchors) * (2 * k - 1))  # the words they read at least, in one conversion
+    return [u for n, a in enumerate(anchors.tolist(), n_first) for u in _choice_one(words, n, a, k)]
 
 
 def _distinct_one(words: _Words, n: int, anchor: int, k: int) -> list[int]:
@@ -593,57 +597,44 @@ def _distinct_one(words: _Words, n: int, anchor: int, k: int) -> list[int]:
     return list(chosen)
 
 
-def _distinct_links(
-    words: _Words, n_first: int, anchors: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of spawns that see n_first, n_first + 1, ... nodes and draw like _distinct_one.
+def _distinct_rows(w: np.ndarray, n_first: int, anchors: np.ndarray, k: int, out: np.ndarray) -> int:
+    """_distinct_one for spawns seeing n_first, n_first + 1, ... nodes, whose k words are their picks.
 
-    A spawn's k words are its k picks unless it is flagged: a word may be
-    rejected, or a pick repeats or is its anchor. Under _VECTOR_MIN spawns
-    are checked in one pass over Python ints, more in array passes that fill
-    one (c, k + 1) row array. A flagged spawn is decoded word by word by
-    _distinct_one, and the pass goes on with the words after it.
+    Writes their rows [anchor, k picks] to out, and returns how many come
+    before the first flagged spawn: one with a word that may be rejected,
+    or with picks that repeat or include its anchor.
+    """
+    out[:, 0] = anchors
+    r = np.arange(n_first, n_first + len(anchors), dtype=np.uint64)[:, None]
+    out[:, 1:], maybe_rejected = _lemire(w, r)
+    ranked = np.sort(out, axis=1)
+    return _first_row((ranked[:, 1:] == ranked[:, :-1]) | maybe_rejected)
+
+
+def _distinct_few(words: _Words, n_first: int, anchors: np.ndarray, k: int) -> list[int]:
+    """_distinct_one for spawns seeing n_first, n_first + 1, ... nodes, their neighbors end to end.
+
+    One pass over Python ints takes each spawn's k words as its picks
+    unless it is flagged, as in _distinct_rows; a flagged spawn is decoded
+    by _distinct_one, and the pass goes on with the words after it.
     """
     c = len(anchors)
-    if c < _VECTOR_MIN:
-        flat: list[int] = []
-        ints, at = words.ints(c * k), words.at
-        for n, a in zip(range(n_first, n_first + c), anchors.tolist()):
-            row = [a]
-            for w in ints[at : at + k]:
-                m = w * n
-                v = m >> 32
-                # The low half of m is below n for every rejected word.
-                if (m & _LOW) < n or v in row:
-                    words.at = at
-                    row = _distinct_one(words, n, a, k)
-                    ints, at = words.ints((n_first + c - 1 - n) * k), words.at
-                    break
-                row.append(v)
-            else:
-                at += k
-            flat += row
-        words.at = at
-        lo = np.array(flat, dtype=np.intp)
-    else:
-        rows = np.empty((c, k + 1), dtype=np.intp)
-        rows[:, 0] = anchors
-        j, window = 0, c
-        while j < c:
-            size = min(window, c - j)
-            block = rows[j : j + size]
-            r = np.arange(n_first + j, n_first + j + size, dtype=np.uint64)[:, None]
-            block[:, 1:], maybe_rejected = _lemire(words.ahead(size * k).reshape(size, k), r)
-            ranked = np.sort(block, axis=1)
-            good = _first_row((ranked[:, 1:] == ranked[:, :-1]) | maybe_rejected)
-            words.at += good * k
-            j += good
-            # As in _choice_links, blocks of about twice the spawns that went
-            # through keep frequent flags from decoding the rest of a large
-            # batch over and over.
-            window = max(_VECTOR_MIN, 2 * (good + 1))
-            if good < size:
-                rows[j] = _distinct_one(words, n_first + j, anchors.item(j), k)
-                j += 1
-        lo = rows.ravel()
-    return lo, np.arange(n_first, n_first + c).repeat(k + 1)
+    flat: list[int] = []
+    ints, at = words.ints(c * k), words.at
+    for n, a in enumerate(anchors.tolist(), n_first):
+        row = [a]
+        for w in ints[at : at + k]:
+            m = w * n
+            v = m >> 32
+            # The low half of m is below n for every rejected word.
+            if (m & _LOW) < n or v in row:
+                words.at = at
+                row = _distinct_one(words, n, a, k)
+                ints, at = words.ints((n_first + c - 1 - n) * k), words.at
+                break
+            row.append(v)
+        else:
+            at += k
+        flat += row
+    words.at = at
+    return flat

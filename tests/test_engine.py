@@ -254,17 +254,20 @@ class TestRun:
         series = run(m, max_steps=10)
         assert series.termination == TERM_DISCONNECTED
 
-    def test_isolated_node_after_connected_steps_disconnects(self):
+    # An even and an odd step: the run must check after every step that appends a node.
+    @pytest.mark.parametrize("step", [2, 3])
+    def test_isolated_node_after_connected_steps_disconnects(self, step):
         m = StubModel(_connected_graph(3), n_agents=3)
 
-        def add_isolated_on_step_three(model, agent_id):
-            if model.step_count == 2 and model.graph.n_nodes == 3:
+        def add_isolated_in_step(model, agent_id):
+            if model.step_count == step - 1 and model.graph.n_nodes == 3:
                 grow(model.graph, 1)
 
-        m.on_activate = add_isolated_on_step_three
+        m.on_activate = add_isolated_in_step
         series = run(m, max_steps=10)
         assert series.termination == TERM_DISCONNECTED
-        assert len(series.records) == 4
+        assert len(series.records) == step + 1
+        assert series.records[-1].step == step
         assert series.records[-1].n_nodes == 4
 
     def test_linked_growth_needs_one_full_search(self, monkeypatch):

@@ -734,6 +734,46 @@ class _WordFeed:
         return np.array(out, dtype=np.uint64)
 
 
+class TestFlaggedSpawns:
+    """A batch whose array passes meet a flagged spawn, against one call per anchor."""
+
+    @pytest.mark.parametrize("n0, width", [(100, 5), (6000, 3)], ids=["choice", "rejection"])
+    def test_a_flagged_spawn_leaves_a_short_run(self, n0, width):
+        # Spawn 11 of 16 reads a rejected word first, so the 4 spawns after it,
+        # fewer than _VECTOR_MIN, take the regime's short form.
+        count = graph_core._VECTOR_MIN + 4
+        words = _rng(n0).integers(2**32, size=200, dtype=np.uint64).tolist()
+        words[(count - 5) * width] = 0
+        anchors = list(range(count))
+        batch_feed, alone_feed = _WordFeed(words), _WordFeed(words)
+        batch, alone = Graph(n0), Graph(n0)
+        few = "_choice_few" if n0 < graph_core._REJECTION_POOL_MIN else "_distinct_few"
+        with mock.patch.object(graph_core, few, wraps=getattr(graph_core, few)) as short:
+            add_nodes_linked(batch, anchors, 3, batch_feed)
+        assert [call.args[2].tolist() for call in short.call_args_list] == [anchors[-4:]]
+        for a in anchors:
+            add_node_linked(alone, a, 3, alone_feed)
+        assert batch == alone
+        assert batch_feed.words == alone_feed.words
+
+    def test_a_flagged_spawn_converts_only_the_words_read(self):
+        # The words of test_a_large_batch_decodes_as_rows_again_after_a_flagged_spawn:
+        # spawn 2 of 60 reads words 6 to 9, and word 6 is rejected.
+        words = _rng(6000).integers(2**32, size=200, dtype=np.uint64).tolist()
+        words[2 * 3] = 0
+        decode, seen = graph_core._distinct_one, []
+
+        def one(words, n, anchor, k):
+            row = decode(words, n, anchor, k)
+            seen.append((len(words._ints), words.at))
+            return row
+
+        with mock.patch.object(graph_core, "_distinct_one", one):
+            add_nodes_linked(Graph(6000), list(range(60)), 3, _WordFeed(words))
+        # The words it read as Python ints, and no more.
+        assert seen == [(10, 10)]
+
+
 class TestGrowthWords:
     """The growth decoders against the numpy draws they read like.
 
