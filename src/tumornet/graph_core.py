@@ -16,16 +16,14 @@ cross-process sweeps possible.
 
 Growth appends nodes wired to an anchor and random older nodes a batch at
 a time (add_nodes_linked). Each node's extras are the ones rng.choice, or
-rng.integers drawn until they are distinct, would pick for it in turn. The
-batch reads those draws as numpy 2.x's Lemire draws on the generator's
-32-bit words: it takes the words in one rng.integers call per step, more
-only when a draw needs them, and decodes them itself. So the edge set,
-though not the edge order, and the generator's end state are those of the
-draws made node by node. A property test pins the decoding to numpy's own
-calls. One driver decodes the nodes of each sampling regime: array passes
-while _VECTOR_MIN or more are left, each up to the first flagged node,
-which alone is decoded word by word; runs of fewer take the regime's short
-form, word by word like rng.choice or one pass over Python ints by rejection.
+rng.integers drawn until they are distinct, would pick for it in turn. So
+the edge set, though not the edge order, and the generator's end state are
+those of the draws made node by node. rng.choice's draws have bounds fixed
+in advance, so the batch makes them all in one rng.integers call with an
+array of bounds. Rejection sampling reads numpy 2.x's Lemire draws on the
+generator's 32-bit words: the batch takes the words in one rng.integers
+call, more only when a draw needs them, and decodes them itself. Property
+tests pin both to numpy's own calls.
 
 A Graph only grows: nodes are appended, edges are added, and nothing is
 ever removed. Nodes that were connected to each other therefore stay
@@ -356,18 +354,18 @@ def add_nodes_linked(
     edges may be stored in another order. Returns them as (lo, hi)
     endpoint arrays, hi the new node.
 
-    Both calls make numpy 2.x's Lemire draws on rng's 32-bit words (see
-    _Words), and the batch decodes them itself from one rng.integers call
-    that reads a word per draw, with one more call for each time the reads
-    run past it. So rng ends in the state the one-by-one draws leave. A
-    property test pins this decoding to numpy's calls. One driver walks the
-    spawns of each sampling regime. While at least _VECTOR_MIN are left,
-    array passes fill one row per spawn up to the first flagged spawn, which
-    is decoded word by word on its own before the passes resume. Runs of
-    fewer take the regime's short form: word by word like rng.choice, or one
-    pass over Python ints that takes a spawn's k_extra words as its picks by
-    rejection. A spawn is flagged when one of its words may be rejected or,
-    by rejection, when its picks repeat or include its anchor.
+    rng ends in the state the one-by-one draws leave. The rng.choice
+    spawns make all their draws, Floyd's and the shuffle's, in one
+    rng.integers call with an array of bounds (see _choice_links). The
+    rejection spawns read numpy 2.x's Lemire draws on rng's 32-bit words
+    (see _Words), and the batch decodes them itself from one rng.integers
+    call that reads a word per draw, with one more call for each time the
+    reads run past it. Property tests pin both to numpy's calls. Runs of
+    _VECTOR_MIN or more spawns decode as arrays, one row per spawn, and
+    shorter ones in Python ints. By rejection, a spawn's k_extra words are
+    its picks unless it is flagged: one of its words may be rejected, or its
+    picks repeat or include its anchor. A flagged spawn is decoded word by
+    word on its own, and the decoding resumes after it.
 
     Raises:
         ValueError: If an anchor does not exist when its node is appended,
@@ -401,8 +399,6 @@ def _draw_links(
     # _REJECTION_POOL_MIN, and rejection-samples past that.
     choice_from = min(count, max(0, k_extra + 2 - n0))
     reject_from = min(count, max(choice_from, _REJECTION_POOL_MIN + 1 - n0))
-    width = 2 * k_extra - 1
-    words = _Words(rng, (reject_from - choice_from) * width + (count - reject_from) * k_extra)
     # The spawns that link all older nodes come first, then each regime's.
     lo, hi = [], np.arange(n0 + choice_from, n0 + count).repeat(k_extra + 1)
     if choice_from:
@@ -410,58 +406,98 @@ def _draw_links(
         lo.append(np.array([u for v in sees.tolist() for u in range(v)], dtype=np.intp))
         hi = np.concatenate((sees.repeat(sees), hi))
     if choice_from < reject_from:
-        choice = anchors[choice_from:reject_from]
-        regime = (width, _choice_rows, _choice_one, _choice_few)
-        lo.append(_regime_links(words, n0 + choice_from, choice, k_extra, regime))
+        lo.append(_choice_links(rng, n0 + choice_from, anchors[choice_from:reject_from], k_extra))
     if reject_from < count:
-        regime = (k_extra, _distinct_rows, _distinct_one, _distinct_few)
-        lo.append(_regime_links(words, n0 + reject_from, anchors[reject_from:], k_extra, regime))
+        words = _Words(rng, (count - reject_from) * k_extra)
+        lo.append(_distinct_links(words, n0 + reject_from, anchors[reject_from:], k_extra))
     return (lo[0] if len(lo) == 1 else np.concatenate(lo)), hi
 
 
-def _regime_links(words: _Words, n_first: int, anchors: np.ndarray, k: int, regime: tuple) -> np.ndarray:
-    """The lo ends of one sampling regime's edges, whose spawns see n_first, n_first + 1, ... nodes.
+# Runs of at least this many spawns in one sampling regime are decoded as
+# array operations: one row per spawn. Shorter ones loop over Python ints,
+# which costs less for the one- to few-spawn batches most steps make.
+_VECTOR_MIN = 12
 
-    regime is (width, rows, one, few), and each spawn's row is [anchor, its
-    k picks]. While _VECTOR_MIN or more spawns are left, rows(w, n, anchors,
-    k, out) fills out from width words a spawn and returns how many come
-    before the first flagged one, which one(words, n, anchor, k) decodes
-    alone. Fewer go to few(words, n, anchors, k), the regime's short form.
+
+def _choice_links(rng: np.random.Generator, n_first: int, anchors: np.ndarray, k: int) -> np.ndarray:
+    """The lo ends of the rng.choice regime's edges, whose spawns see n_first, n_first + 1, ... nodes.
+
+    A spawn that sees n nodes links its anchor and the extras
+    rng.choice(pool, k, replace=False) picks, pool = n - 1: position p
+    among the older nodes other than the anchor names node p, shifted past
+    the anchor. That call is Floyd's algorithm: draw t, 0 <= t < k, is over
+    pool - k + t + 1 values, and a value already picked is replaced by
+    pool - k + t. It then shuffles the picks with draws over k, k - 1, ...,
+    2 values, which only reorder them. One rng.integers(0, tops) call makes
+    every spawn's 2k - 1 draws in turn, reading rng's words as one call per
+    bound would, so the shuffle draws are made and dropped.
     """
-    width, rows, one, few = regime
+    c, width = len(anchors), 2 * k - 1
+    if c < _VECTOR_MIN:
+        tops = []
+        for j in range(c):
+            tops += range(n_first - k + j, n_first + j)
+            tops += range(k, 1, -1)
+        draws = rng.integers(0, tops).tolist()
+        flat: list[int] = []
+        for j, a in enumerate(anchors.tolist()):
+            picks = []
+            # A repeat takes the largest value of its draw, pool - k + t.
+            for last, v in enumerate(draws[j * width : j * width + k], n_first - 1 - k + j):
+                picks.append(last if v in picks else v)
+            flat.append(a)
+            flat += [p + (p >= a) for p in picks]
+        return np.array(flat, dtype=np.intp)
+    base = np.arange(n_first - 1 - k, n_first - 1 - k + c)  # pool - k, spawn by spawn
+    tops = np.empty((c, width), dtype=np.int64)
+    tops[:, :k] = base[:, None] + np.arange(1, k + 1)
+    tops[:, k:] = np.arange(k, 1, -1)
+    picks = rng.integers(0, tops)[:, :k]
+    for t in range(1, k):
+        seen = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+        picks[seen, t] = base[seen] + t
+    out = np.empty((c, k + 1), dtype=np.intp)
+    out[:, 0] = anchors
+    out[:, 1:] = picks + (picks >= anchors[:, None])
+    return out.ravel()
+
+
+def _distinct_links(words: _Words, n_first: int, anchors: np.ndarray, k: int) -> np.ndarray:
+    """The lo ends of the rejection regime's edges, whose spawns see n_first, n_first + 1, ... nodes.
+
+    Each spawn's row is [anchor, its k picks]. While _VECTOR_MIN or more
+    spawns are left, _distinct_rows fills rows from k words a spawn up to
+    the first flagged spawn, which _distinct_one decodes alone. Fewer go
+    to _distinct_few.
+    """
     c = len(anchors)
     if c < _VECTOR_MIN:
-        return np.array(few(words, n_first, anchors, k), dtype=np.intp)
+        return np.array(_distinct_few(words, n_first, anchors, k), dtype=np.intp)
     lo = np.empty(c * (k + 1), dtype=np.intp)
     out = lo.reshape(c, k + 1)
     j, window = 0, c
     while c - j >= _VECTOR_MIN:
         size = min(window, c - j)
-        w = words.ahead(size * width).reshape(size, width)
-        good = rows(w, n_first + j, anchors[j : j + size], k, out[j : j + size])
-        words.at += good * width
+        w = words.ahead(size * k).reshape(size, k)
+        good = _distinct_rows(w, n_first + j, anchors[j : j + size], k, out[j : j + size])
+        words.at += good * k
         j += good
         # Windows of about twice the spawns that went through keep frequent
         # flags (k large against the node count) from decoding the rest of
         # a large batch over and over.
         window = max(_VECTOR_MIN, 2 * (good + 1))
         if good < size:
-            out[j] = one(words, n_first + j, anchors.item(j), k)
+            out[j] = _distinct_one(words, n_first + j, anchors.item(j), k)
             j += 1
     if j < c:
-        lo[j * (k + 1) :] = few(words, n_first + j, anchors[j:], k)
+        lo[j * (k + 1) :] = _distinct_few(words, n_first + j, anchors[j:], k)
     return lo
 
 
-# rng.integers(0, r) and rng.choice read the generator's 32-bit words as
-# Lemire draws; _Words and the decoders below read them the same way.
+# rng.integers(0, r) reads the generator's 32-bit words as Lemire draws;
+# _Words and the rejection decoders below read them the same way.
 _WORD = 1 << 32
 _LOW = _WORD - 1
-
-# Runs of at least this many spawns in one sampling regime are decoded as
-# array operations. Shorter ones take the regime's short form in Python
-# ints, which costs less for the one- to few-spawn batches most steps make.
-_VECTOR_MIN = 12
 
 
 class _Words:
@@ -469,33 +505,32 @@ class _Words:
 
     rng.integers(0, r) reads words w until the low half of w * r is at
     least 2**32 % r, and returns the high half (Lemire's method): a draw
-    reads one word, or more when one is rejected. due starts at one word a
-    draw, for every draw the batch makes at least, and goes up by one for
-    each rejected word and each draw the decoding adds (a repeated pick).
-    When the reads run past buf, the words up to due are drawn. rng thus
-    reads exactly the words that the draws made one by one would.
+    reads one word, or more when one is rejected. Each read asks only for
+    words that the batch reads in any case, so when a read runs past buf,
+    exactly the words up to its end are drawn. rng thus reads exactly the
+    words that the draws made one by one would.
     """
 
-    __slots__ = ("_rng", "buf", "_ints", "at", "due")
+    __slots__ = ("_rng", "buf", "_ints", "at")
 
-    def __init__(self, rng: np.random.Generator, due: int):
+    def __init__(self, rng: np.random.Generator, n: int):
         self._rng = rng
         # rng.integers(2**32, ...) reads one word per value, with a word
         # left over from an earlier draw first.
-        self.buf = rng.integers(_WORD, size=due, dtype=np.uint64)
+        self.buf = rng.integers(_WORD, size=n, dtype=np.uint64)
         self._ints: list[int] = []  # a prefix of buf as Python ints (see ints)
         self.at = 0  # the next word to read
-        self.due = due
 
     def ahead(self, n: int) -> np.ndarray:
-        """The n words from at, not yet read; n is at most due - at."""
-        if self.at + n > len(self.buf):
-            more = self._rng.integers(_WORD, size=self.due - len(self.buf), dtype=np.uint64)
+        """The n words from at, not yet read, which the batch reads in any case."""
+        end = self.at + n
+        if end > len(self.buf):
+            more = self._rng.integers(_WORD, size=end - len(self.buf), dtype=np.uint64)
             self.buf = np.concatenate((self.buf, more))
-        return self.buf[self.at : self.at + n]
+        return self.buf[self.at : end]
 
     def ints(self, n: int) -> list[int]:
-        """A prefix of buf as Python ints, extended in place through the n words from at; n <= due - at."""
+        """A prefix of buf as Python ints, extended in place through the n words from at; all n are read."""
         end = self.at + n
         if end > len(self._ints):
             if end > len(self.buf):
@@ -515,7 +550,6 @@ class _Words:
             low = m & _LOW
             if low >= r or low >= _WORD % r:
                 return m >> 32
-            self.due += 1
 
 
 def _lemire(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -535,65 +569,11 @@ def _first_row(mask: np.ndarray) -> int:
     return i // mask.shape[1] if mask.flat[i] else len(mask)
 
 
-def _choice_picks(words: _Words, pool: int, k: int) -> list[int]:
-    """rng.choice(pool, k, replace=False), 0 < k < pool, as its values before the shuffle.
-
-    Floyd's algorithm: draw t, 0 <= t < k, is over pool - k + t + 1
-    values, and a value already picked is replaced by pool - k + t. The
-    picks are then shuffled with draws over k, k - 1, ..., 2 values, which
-    only reorder them, so those are read and dropped.
-    """
-    picks = []
-    for top in range(pool - k + 1, pool + 1):
-        v = words.bounded(top)
-        picks.append(top - 1 if v in picks else v)
-    for top in range(k, 1, -1):
-        words.bounded(top)
-    return picks
-
-
-def _choice_one(words: _Words, n: int, anchor: int, k: int) -> list[int]:
-    """The neighbors of a node appended to n nodes: anchor and, like rng.choice, k others."""
-    # Position p among the n - 1 nodes other than the anchor names node p,
-    # shifted past the anchor.
-    return [anchor] + [p + (p >= anchor) for p in _choice_picks(words, n - 1, k)]
-
-
-def _choice_rows(w: np.ndarray, n_first: int, anchors: np.ndarray, k: int, out: np.ndarray) -> int:
-    """_choice_one for spawns seeing n_first, n_first + 1, ... nodes, one row of 2k - 1 words each.
-
-    Writes their rows [anchor, k others] to out, and returns how many come
-    before the first spawn that reads a word that may be rejected.
-    """
-    size = len(anchors)
-    base = np.arange(n_first - 1 - k, n_first - 1 - k + size)  # pool - k, spawn by spawn
-    tops = np.empty((size, 2 * k - 1), dtype=np.uint64)
-    tops[:, :k] = base[:, None] + np.arange(1, k + 1)
-    tops[:, k:] = np.arange(k, 1, -1)
-    vals, maybe_rejected = _lemire(w, tops)
-    picks = vals[:, :k]
-    for t in range(1, k):
-        seen = (picks[:, :t] == picks[:, t, None]).any(axis=1)
-        picks[seen, t] = base[seen] + t
-    out[:, 0] = anchors
-    out[:, 1:] = picks + (picks >= anchors[:, None])
-    return _first_row(maybe_rejected)
-
-
-def _choice_few(words: _Words, n_first: int, anchors: np.ndarray, k: int) -> list[int]:
-    """_choice_one for spawns seeing n_first, n_first + 1, ... nodes, their neighbors end to end."""
-    words.ints(len(anchors) * (2 * k - 1))  # the words they read at least, in one conversion
-    return [u for n, a in enumerate(anchors.tolist(), n_first) for u in _choice_one(words, n, a, k)]
-
-
 def _distinct_one(words: _Words, n: int, anchor: int, k: int) -> list[int]:
     """The neighbors of a node appended to n nodes: anchor and k others drawn by rejection."""
     chosen = {anchor}
     while len(chosen) <= k:
-        v = words.bounded(n)
-        if v in chosen:
-            words.due += 1
-        chosen.add(v)
+        chosen.add(words.bounded(n))
     return list(chosen)
 
 

@@ -582,8 +582,12 @@ class TestAddNodesLinked:
         seed=st.integers(0, 2**32 - 1),
         stride=st.integers(1, 10**6),
     )
-    # Spawn 5's first rng.choice draw reads a rejected word.
+    # Spawn 5's first rng.choice draw reads a rejected word, in a batch of
+    # _VECTOR_MIN or more choice-regime spawns, which decode as rows.
     @example(n0=4080, count=30, k_extra=3, seed=167612, stride=7)
+    # Spawn 5's second rng.choice draw, over 4,083 values, reads a rejected
+    # word, in a batch of fewer than _VECTOR_MIN, which decode in Python ints.
+    @example(n0=4080, count=10, k_extra=3, seed=261658, stride=7)
     # Spawn 28's last rejection-sampling draw reads a rejected word.
     @example(n0=4080, count=30, k_extra=3, seed=47473, stride=7)
     def test_batch_across_the_rejection_pool_min(self, n0, count, k_extra, seed, stride):
@@ -600,9 +604,6 @@ class TestAddNodesLinked:
     @pytest.mark.parametrize(
         "n0, count, zeroed, repeated",
         [
-            # Spawn 3 samples like rng.choice from 2k - 1 = 5 words a spawn;
-            # its word 3 is the shuffle's draw over 3 values.
-            pytest.param(100, graph_core._VECTOR_MIN + 4, 3 * 5 + 3, None, id="100-18"),
             # Spawn 2 rejection-samples from k = 3 words a spawn.
             pytest.param(6000, graph_core._VECTOR_MIN + 4, 2 * 3, None, id="6000-6"),
             # Under _VECTOR_MIN spawns, which decode in Python ints: spawn
@@ -629,7 +630,7 @@ class TestAddNodesLinked:
         for a in anchors:
             add_node_linked(alone, a, 3, alone_feed)
         assert batch == alone
-        regular = len(anchors) * (5 if n0 < graph_core._REJECTION_POOL_MIN else 3)
+        regular = len(anchors) * 3
         assert len(batch_feed.words) == len(alone_feed.words) == len(words) - regular - 1
         # The batch draws its regular words at once and the shortfall after.
         assert batch_feed.sizes == [regular, 1]
@@ -735,20 +736,20 @@ class _WordFeed:
 
 
 class TestFlaggedSpawns:
-    """A batch whose array passes meet a flagged spawn, against one call per anchor."""
+    """A rejection batch whose array passes meet a flagged spawn, against one call per anchor."""
 
-    @pytest.mark.parametrize("n0, width", [(100, 5), (6000, 3)], ids=["choice", "rejection"])
+    @pytest.mark.parametrize("n0, width", [(6000, 3)], ids=["rejection"])
     def test_a_flagged_spawn_leaves_a_short_run(self, n0, width):
         # Spawn 11 of 16 reads a rejected word first, so the 4 spawns after it,
-        # fewer than _VECTOR_MIN, take the regime's short form.
+        # fewer than _VECTOR_MIN, take the Python-int pass.
         count = graph_core._VECTOR_MIN + 4
         words = _rng(n0).integers(2**32, size=200, dtype=np.uint64).tolist()
         words[(count - 5) * width] = 0
         anchors = list(range(count))
         batch_feed, alone_feed = _WordFeed(words), _WordFeed(words)
         batch, alone = Graph(n0), Graph(n0)
-        few = "_choice_few" if n0 < graph_core._REJECTION_POOL_MIN else "_distinct_few"
-        with mock.patch.object(graph_core, few, wraps=getattr(graph_core, few)) as short:
+        few = graph_core._distinct_few
+        with mock.patch.object(graph_core, "_distinct_few", wraps=few) as short:
             add_nodes_linked(batch, anchors, 3, batch_feed)
         assert [call.args[2].tolist() for call in short.call_args_list] == [anchors[-4:]]
         for a in anchors:
@@ -775,32 +776,31 @@ class TestFlaggedSpawns:
 
 
 class TestGrowthWords:
-    """The growth decoders against the numpy draws they read like.
+    """The numpy draws growth rests on, at the installed numpy.
 
-    Growth reads numpy's Lemire draws on the generator's 32-bit words. These
-    pin that at the installed numpy: a failure here means its
-    Generator.integers or Generator.choice reads the words another way.
+    The rng.choice regime makes a batch's draws in one rng.integers(0, highs)
+    call, and the rejection regime decodes numpy's Lemire draws from the
+    generator's 32-bit words itself. A failure here means the installed
+    numpy's Generator.integers reads the words another way.
     """
 
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        pool=st.integers(2, 4096),
-        k=st.integers(1, 8),
+        highs=st.lists(st.integers(2, 2**32), min_size=1, max_size=8),
         lead=st.integers(0, 3),
     )
     # An odd lead leaves half of the generator's last 64-bit output for the next word.
-    @example(seed=5, pool=4096, k=8, lead=1)
-    def test_choice_picks_match_rng_choice(self, seed, pool, k, lead):
-        k = min(k, pool - 1)
-        ref, dec = _rng(seed), _rng(seed)
+    @example(seed=5, highs=[3, 4097, 2**32], lead=1)
+    # The draw over 2**31 + 1 values rejects two words and takes the third.
+    @example(seed=6, highs=[2**31 + 1, 3], lead=1)
+    def test_array_bounds_match_one_call_per_bound(self, seed, highs, lead):
+        ref, arr = _rng(seed), _rng(seed)
         ref.integers(2**32, size=lead, dtype=np.uint32)
-        dec.integers(2**32, size=lead, dtype=np.uint32)
-        expected = ref.choice(pool, size=k, replace=False).tolist()
-        picks = graph_core._choice_picks(graph_core._Words(dec, 2 * k - 1), pool, k)
-        # The picks leave out the shuffle, which only reorders them.
-        assert sorted(picks) == sorted(expected)
-        assert dec.bit_generator.state == ref.bit_generator.state
+        arr.integers(2**32, size=lead, dtype=np.uint32)
+        expected = [int(ref.integers(0, h)) for h in highs]
+        assert arr.integers(0, highs).tolist() == expected
+        assert arr.bit_generator.state == ref.bit_generator.state
 
     @settings(max_examples=300, deadline=None)
     @given(
