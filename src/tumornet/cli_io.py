@@ -615,6 +615,10 @@ def main(argv: list[str] | None = None) -> int:
     except (SweepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        # Every command writes its files last, as one group (_write_text).
+        print(f"tumornet {args.command}: interrupted; no file written", file=sys.stderr)
+        return 130
     except Exception:
         traceback.print_exc()
         return 3

@@ -208,7 +208,7 @@ def generate_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     # Hit endpoints per block; the empty pair keeps one node's concatenate valid.
     srcs, dsts = [_NO_NODES], [_NO_NODES]
     for lo in range(0, total, _ER_BLOCK):
-        hits = np.flatnonzero(rng.random(min(_ER_BLOCK, total - lo)) < p) + lo
+        hits = (rng.random(min(_ER_BLOCK, total - lo)) < p).nonzero()[0] + lo
         src = np.searchsorted(starts, hits, side="right") - 1
         srcs.append(src)
         dsts.append(hits - starts[src] + src + 1)
@@ -284,7 +284,7 @@ def is_connected(g: Graph) -> bool:
         raise ValueError("connectivity is undefined for an empty graph")
     # With more than one node, a node without neighbors is either node 0 or
     # unreachable from it, so the search can be skipped.
-    if n > 1 and not g.degrees.all():
+    if n > 1 and not np.logical_and.reduce(g.degrees):
         return False
     lo, hi = g._endpoints()
     comp = np.arange(n)
@@ -299,7 +299,7 @@ def is_connected(g: Graph) -> bool:
                 break
             comp = up
         if np.array_equal(comp, before):
-            return not comp.any()
+            return not np.logical_or.reduce(comp)
 
 
 def linked_since(g: Graph, n_known: int) -> bool:
@@ -312,7 +312,7 @@ def linked_since(g: Graph, n_known: int) -> bool:
     is_connected. Node 0 has no smaller neighbor, so n_known = 0 (no
     connected prefix known yet) always gives False on a non-empty graph.
     """
-    return bool(g._low[n_known : g.n_nodes].all())
+    return bool(np.logical_and.reduce(g._low[n_known : g.n_nodes]))
 
 
 def degree_sequence(g: Graph) -> DegreeSequence:
@@ -374,9 +374,16 @@ def add_nodes_linked(
     anchors = np.asarray(anchors, dtype=np.intp)
     n0, count = g.n_nodes, len(anchors)
     # Two reductions settle the usual batch, whose anchors all predate it.
+    # Here and elsewhere on the step and growth paths a reduction calls its
+    # ufunc (np.maximum.reduce, np.logical_and.reduce, ...) directly: the
+    # ndarray methods .max(), .all() and .any() first pass through numpy's
+    # Python-level wrappers, which a spawning step would pay several times.
     if count and (
         np.minimum.reduce(anchors) < 0
-        or (np.maximum.reduce(anchors) >= n0 and (anchors - np.arange(n0, n0 + count)).max() >= 0)
+        or (
+            np.maximum.reduce(anchors) >= n0
+            and np.maximum.reduce(anchors - np.arange(n0, n0 + count)) >= 0
+        )
     ):
         raise ValueError(f"an anchor node of {anchors.tolist()} does not exist")
     if k_extra < 0:
@@ -454,7 +461,7 @@ def _choice_links(rng: np.random.Generator, n_first: int, anchors: np.ndarray, k
     tops[:, k:] = np.arange(k, 1, -1)
     picks = rng.integers(0, tops)[:, :k]
     for t in range(1, k):
-        seen = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+        seen = np.logical_or.reduce(picks[:, :t] == picks[:, t, None], axis=1)
         picks[seen, t] = base[seen] + t
     out = np.empty((c, k + 1), dtype=np.intp)
     out[:, 0] = anchors
@@ -587,7 +594,8 @@ def _distinct_rows(w: np.ndarray, n_first: int, anchors: np.ndarray, k: int, out
     out[:, 0] = anchors
     r = np.arange(n_first, n_first + len(anchors), dtype=np.uint64)[:, None]
     out[:, 1:], maybe_rejected = _lemire(w, r)
-    ranked = np.sort(out, axis=1)
+    ranked = out.copy()
+    ranked.sort(axis=1)
     return _first_row((ranked[:, 1:] == ranked[:, :-1]) | maybe_rejected)
 
 

@@ -373,7 +373,7 @@ def _array_step(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
     """agent_step as array operations; the cells ids act on the uniforms u."""
     s = model._state[ids]
     counts = model.counts
-    if counts[DEAD] and s.max() == DEAD:
+    if counts[DEAD] and np.maximum.reduce(s) == DEAD:
         raise _dead_cell(ids, np.flatnonzero(s == DEAD)[0])
     # act_deg[k]: the degree of cell ids[k] as it acts.
     act_deg = model.graph._deg[ids]
@@ -382,7 +382,7 @@ def _array_step(model: Model, ids: np.ndarray, u: np.ndarray) -> None:
         spawners = ((s == METASTATIC) & (u >= recovery) & (u < spawn_below)).nonzero()[0]
         if spawners.size:
             act_deg += _spawn(model, ids, spawners)
-    model._thresholds(int(act_deg.max()))
+    model._thresholds(int(np.maximum.reduce(act_deg)))
     # The row of each cell in the rule table, and the thresholds u reaches.
     key = np.multiply(s, len(model._rows) // 3, dtype=np.intp)
     key += act_deg
@@ -429,8 +429,9 @@ def _spawn(model: Model, ids: np.ndarray, spawners: np.ndarray) -> np.ndarray:
     graph = model.graph
     n0 = graph.n_nodes
     lo, hi = graph_core.add_nodes_linked(graph, ids[spawners], model.config.K - 1, model._growth_rng)
-    # at[c] is where cell c acts in ids, or -1 if it does not act in this step.
-    at = np.full(graph.n_nodes, -1)
+    # at[c] is where cell c acts in ids, or 0 if it does not act in this
+    # step: like the cell at position 0, it acts after no spawner.
+    at = np.zeros(graph.n_nodes, dtype=np.intp)
     at[ids] = np.arange(len(ids))
     later = at[lo]
     later = later[later > spawners[hi - n0]]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from tumornet import engine, graph_core, sweep, tumor_model
+from tumornet import cli_io, engine, graph_core, sweep, tumor_model
 from tumornet.cli_io import (
     _CONFIG_KEYS,
     _FIXED,
@@ -830,6 +830,24 @@ class TestCli:
         code, _, err = _cli(["run", "--config", config, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "Traceback" in err and "ValueError: cell 7 is dead and cannot act" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_interrupt_prints_one_line_and_exits_130(self, tmp_path, monkeypatch, command):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_io, "_cmd_run", interrupted)
+        monkeypatch.setattr(sweep, "run_sweep", interrupted)
+        out_dir = tmp_path / "out"
+        source = (
+            ["--config", _write(tmp_path / "run.cfg", CONNECTED_CONFIG)]
+            if command == "run" else ["--preset", "fig4"]
+        )
+        code, out, err = _cli([command, *source, "--out", str(out_dir)])
+        assert code == 130
+        assert out == ""
+        assert err == f"tumornet {command}: interrupted; no file written\n"
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_unknown_flag_usage_error(self, tmp_path):
         code, _, err = _cli(["run", "--config", "x", "--out", "y", "--frobnicate"])

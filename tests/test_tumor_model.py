@@ -517,25 +517,31 @@ class TestSpawning:
         assert m.graph.n_nodes == 25
         assert calls == {"add_nodes_linked": 1}
 
-    def test_spawn_counts_new_links_for_later_cells_only(self):
-        # K - 1 extras against at most 10 nodes: every new node links to
-        # every older one, so no growth draw decides the edges. Nodes 2, 4
-        # and 5 act in the first call and not the second, where new nodes 8
-        # and 9 link to them; node 9 also links to node 8, appended in the
-        # same batch.
-        m = _model(n_initial=6, p=1.0, K=12)
-        for ids, spawners in (([4, 0, 2, 5, 1], [1, 3]), ([3, 1, 6, 0], [0, 2])):
-            n0, m0 = m.graph.n_nodes, m.graph.n_edges
-            got = tumor_model._spawn(m, np.array(ids), np.array(spawners))
-            assert m.graph.n_nodes == n0 + len(spawners)
-            # New edge (u, v) counts for u iff u acts after v's parent.
-            act_at = {c: k for k, c in enumerate(ids)}
-            want = [0] * len(ids)
-            for u, v in zip(*(a[m0:].tolist() for a in m.graph._endpoints())):
-                if act_at.get(u, -1) > spawners[v - n0]:
-                    want[act_at[u]] += 1
-            assert got.tolist() == want
-            assert 0 < sum(want) < m.graph.n_edges - m0
+    def test_spawn_counts_new_links_for_later_cells_only(self, monkeypatch):
+        # First case, K = 12: K - 1 extras against at most 10 nodes, so
+        # every new node links to every older one and no growth draw decides
+        # the edges. Nodes 2, 4 and 5 act in the first call and not the
+        # second, where new nodes 8 and 9 link to them; node 9 also links to
+        # node 8, appended in the same batch.
+        # Second case, K = 4: with _REJECTION_POOL_MIN at 1, each new node
+        # draws its 3 extras by rejection, the regime of connected_500's
+        # batches. At seed 0 the extras land, in each call, on cells that
+        # act later than the parent, earlier, and not at all.
+        for K, pool_min in ((12, graph_core._REJECTION_POOL_MIN), (4, 1)):
+            monkeypatch.setattr(graph_core, "_REJECTION_POOL_MIN", pool_min)
+            m = _model(n_initial=6, p=1.0, K=K, seed=0)
+            for ids, spawners in (([4, 0, 2, 5, 1], [1, 3]), ([3, 1, 6, 0], [0, 2])):
+                n0, m0 = m.graph.n_nodes, m.graph.n_edges
+                got = tumor_model._spawn(m, np.array(ids), np.array(spawners))
+                assert m.graph.n_nodes == n0 + len(spawners)
+                # New edge (u, v) counts for u iff u acts after v's parent.
+                act_at = {c: k for k, c in enumerate(ids)}
+                want = [0] * len(ids)
+                for u, v in zip(*(a[m0:].tolist() for a in m.graph._endpoints())):
+                    if act_at.get(u, -1) > spawners[v - n0]:
+                        want[act_at[u]] += 1
+                assert got.tolist() == want
+                assert 0 < sum(want) < m.graph.n_edges - m0
 
     def test_spawn_cell_degree_clamped(self):
         m = _model(n_initial=2, p=1.0, K=6)
