@@ -17,13 +17,16 @@ cross-process sweeps possible.
 Growth appends nodes wired to an anchor and random older nodes a batch at
 a time (add_nodes_linked). Each node's extras are the ones rng.choice, or
 rng.integers drawn until they are distinct, would pick for it in turn. So
-the edge set, though not the edge order, and the generator's end state are
-those of the draws made node by node. rng.choice's draws have bounds fixed
-in advance, so the batch makes them all in one rng.integers call with an
-array of bounds. Rejection sampling reads numpy 2.x's Lemire draws on the
-generator's 32-bit words: the batch takes the words in one rng.integers
-call, more only when a draw needs them, and decodes them itself. Property
-tests pin both to numpy's own calls.
+the edge set, though not the edge order, is that of the draws made node by
+node. rng.choice's draws have bounds fixed in advance, so the batch makes
+them all in one rng.integers call with an array of bounds. Rejection
+sampling reads numpy 2.x's Lemire draws on the generator's 32-bit words,
+which the batch decodes itself. A batch given a generator draws its words
+in one rng.integers call, more only when a draw needs them, and leaves the
+generator where the draws made node by node do. The cell model hands each
+batch its growth stream instead, a _Words that draws words a chunk at a
+time and keeps the unread ones for the next batch. Property tests pin both
+regimes to numpy's own calls.
 
 A Graph only grows: nodes are appended, edges are added, and nothing is
 ever removed. Nodes that were connected to each other therefore stay
@@ -338,7 +341,7 @@ def add_node_linked(g: Graph, anchor: NodeId, k_extra: int, rng: np.random.Gener
 
 
 def add_nodes_linked(
-    g: Graph, anchors: np.ndarray, k_extra: int, rng: np.random.Generator
+    g: Graph, anchors: np.ndarray, k_extra: int, rng: np.random.Generator | _Words
 ) -> tuple[np.ndarray, np.ndarray]:
     """Append one node per anchor, in order, each wired to its anchor and k_extra others.
 
@@ -354,22 +357,29 @@ def add_nodes_linked(
     edges may be stored in another order. Returns them as (lo, hi)
     endpoint arrays, hi the new node.
 
-    rng ends in the state the one-by-one draws leave. The rng.choice
-    spawns make all their draws, Floyd's and the shuffle's, in one
-    rng.integers call with an array of bounds (see _choice_links). The
-    rejection spawns read numpy 2.x's Lemire draws on rng's 32-bit words
-    (see _Words), and the batch decodes them itself from one rng.integers
-    call that reads a word per draw, with one more call for each time the
-    reads run past it. Property tests pin both to numpy's calls. Runs of
-    _VECTOR_MIN or more spawns decode as arrays, one row per spawn, and
-    shorter ones in Python ints. By rejection, a spawn's k_extra words are
-    its picks unless it is flagged: one of its words may be rejected, or its
-    picks repeat or include its anchor. A flagged spawn is decoded word by
-    word on its own, and the decoding resumes after it.
+    The rng.choice spawns make all their draws, Floyd's and the
+    shuffle's, in one rng.integers call with an array of bounds (see
+    _choice_links). The rejection spawns read numpy 2.x's Lemire draws on
+    rng's 32-bit words (see _Words), which the batch decodes itself.
+    Property tests pin both to numpy's calls. A generator rng ends in the
+    state the one-by-one draws leave: the batch draws a word per draw in
+    one rng.integers call, and one more call for each time the reads run
+    past it. rng may also be a model's growth stream, a _Words with a chunk
+    (see tumor_model.Model), which reads the same words but draws them a
+    chunk at a time, ahead of the reads. Its rng.choice spawns draw from
+    its generator, which raises RuntimeError once the stream holds words
+    drawn and not read: the pool only grows, so a model never does that.
+    Runs of _VECTOR_MIN or more spawns decode as arrays, one row per
+    spawn, and shorter ones in Python ints. By rejection, a spawn's k_extra
+    words are its picks unless it is flagged: one of its words may be
+    rejected, or its picks repeat or include its anchor. A flagged spawn is
+    decoded word by word on its own, and the decoding resumes after it.
 
     Raises:
         ValueError: If an anchor does not exist when its node is appended,
             or k_extra is negative.
+        RuntimeError: If rng is a stream that has drawn ahead and a spawn
+            samples like rng.choice.
     """
     anchors = np.asarray(anchors, dtype=np.intp)
     n0, count = g.n_nodes, len(anchors)
@@ -397,7 +407,7 @@ def add_nodes_linked(
 
 
 def _draw_links(
-    n0: int, anchors: np.ndarray, k_extra: int, rng: np.random.Generator
+    n0: int, anchors: np.ndarray, k_extra: int, rng: np.random.Generator | _Words
 ) -> tuple[np.ndarray, np.ndarray]:
     """The edges of add_nodes_linked with k_extra >= 1 and an anchor or more, as (lo, hi) arrays."""
     count = len(anchors)
@@ -413,9 +423,10 @@ def _draw_links(
         lo.append(np.array([u for v in sees.tolist() for u in range(v)], dtype=np.intp))
         hi = np.concatenate((sees.repeat(sees), hi))
     if choice_from < reject_from:
-        lo.append(_choice_links(rng, n0 + choice_from, anchors[choice_from:reject_from], k_extra))
+        gen = rng.generator() if isinstance(rng, _Words) else rng
+        lo.append(_choice_links(gen, n0 + choice_from, anchors[choice_from:reject_from], k_extra))
     if reject_from < count:
-        words = _Words(rng, (count - reject_from) * k_extra)
+        words = rng.trim() if isinstance(rng, _Words) else _Words(rng, (count - reject_from) * k_extra)
         lo.append(_distinct_links(words, n0 + reject_from, anchors[reject_from:], k_extra))
     return (lo[0] if len(lo) == 1 else np.concatenate(lo)), hi
 
@@ -506,33 +517,62 @@ def _distinct_links(words: _Words, n_first: int, anchors: np.ndarray, k: int) ->
 _WORD = 1 << 32
 _LOW = _WORD - 1
 
+# A model's growth stream (see _Words) draws this many words at a time:
+# 8 KiB. A draw costs about 7 us however few words it takes, and 1,024
+# words cost about 10 us, so a step that spawns costs one draw in tens.
+_STREAM_CHUNK = 1024
+
 
 class _Words:
-    """The 32-bit words a batch of rng's bounded draws reads, drawn as they fall due.
+    """The 32-bit words that rng's bounded draws read, drawn ahead of the reads.
 
     rng.integers(0, r) reads words w until the low half of w * r is at
     least 2**32 % r, and returns the high half (Lemire's method): a draw
-    reads one word, or more when one is rejected. Each read asks only for
-    words that the batch reads in any case, so when a read runs past buf,
-    exactly the words up to its end are drawn. rng thus reads exactly the
-    words that the draws made one by one would.
+    reads one word, or more when one is rejected. rng.integers(2**32, ...)
+    reads one word per value, with a word left over from an earlier draw
+    first, so words drawn in any split of calls come in the same order.
+
+    _Words(rng, n) serves one batch: it draws the batch's n words, and
+    when a read runs past them, exactly the words up to its end. Each read
+    asks only for words the batch reads in any case, so rng ends where the
+    draws made one by one leave it. _Words(rng, chunk=_STREAM_CHUNK) is a
+    model's stream, which serves its batches in turn: a read past buf draws
+    chunk words, or as many as the read needs if that is more. The reads
+    see the same words, and rng runs up to a chunk ahead of them. Each
+    batch starts with trim(), which drops the words read so far, so buf
+    holds at most a chunk more than the batch reads.
     """
 
-    __slots__ = ("_rng", "buf", "_ints", "at")
+    __slots__ = ("_rng", "_chunk", "buf", "_ints", "at")
 
-    def __init__(self, rng: np.random.Generator, n: int):
+    def __init__(self, rng: np.random.Generator, n: int = 0, chunk: int = 0):
         self._rng = rng
-        # rng.integers(2**32, ...) reads one word per value, with a word
-        # left over from an earlier draw first.
+        self._chunk = chunk  # the fewest words a draw past buf takes
         self.buf = rng.integers(_WORD, size=n, dtype=np.uint64)
         self._ints: list[int] = []  # a prefix of buf as Python ints (see ints)
         self.at = 0  # the next word to read
+
+    def trim(self) -> _Words:
+        """Drop the words read so far, from buf and its Python-int prefix alike; returns self."""
+        at = self.at
+        if at:
+            self.buf = self.buf[at:]
+            del self._ints[:at]
+            self.at = 0
+        return self
+
+    def generator(self) -> np.random.Generator:
+        """rng, for draws of its own; they must come after the words read, so none may be left unread."""
+        if self.at < len(self.buf):
+            raise RuntimeError("rng draws after words drawn ahead and not yet read")
+        return self._rng
 
     def ahead(self, n: int) -> np.ndarray:
         """The n words from at, not yet read, which the batch reads in any case."""
         end = self.at + n
         if end > len(self.buf):
-            more = self._rng.integers(_WORD, size=end - len(self.buf), dtype=np.uint64)
+            size = max(self._chunk, end - len(self.buf))
+            more = self._rng.integers(_WORD, size=size, dtype=np.uint64)
             self.buf = np.concatenate((self.buf, more))
         return self.buf[self.at : end]
 

@@ -231,12 +231,22 @@ class Model:
         self.records: list[StepRecord] = []
         self.schedule_rng = rng.substream("schedule")
         self._trans_rng = rng.substream("transitions")
-        self._growth_rng = rng.substream("growth")
+        self._rngs = rng  # for the "growth" substream, made at the first spawn
         # The rule table of _threshold_table: its rows, read by the cell loop
         # and both spawn checks, and its columns a, b and c, read by the
         # array step. Sized now, so its metastatic row exists at step 1.
         self._rows: tuple[tuple[float, float, float], ...] = ()
         self._thresholds(0)
+
+    @functools.cached_property
+    def _growth(self) -> graph_core._Words:
+        """The growth words: one stream over the "growth" substream, made at the first spawn."""
+        return graph_core._Words(self._rngs.substream("growth"), chunk=graph_core._STREAM_CHUNK)
+
+    @property
+    def _growth_rng(self) -> np.random.Generator:
+        """The growth generator, which runs up to a chunk ahead of the words read."""
+        return self._growth._rng
 
     @property
     def state(self) -> np.ndarray:
@@ -428,7 +438,7 @@ def _spawn(model: Model, ids: np.ndarray, spawners: np.ndarray) -> np.ndarray:
     """
     graph = model.graph
     n0 = graph.n_nodes
-    lo, hi = graph_core.add_nodes_linked(graph, ids[spawners], model.config.K - 1, model._growth_rng)
+    lo, hi = graph_core.add_nodes_linked(graph, ids[spawners], model.config.K - 1, model._growth)
     # at[c] is where cell c acts in ids, or 0 if it does not act in this
     # step: like the cell at position 0, it acts after no spawner.
     at = np.zeros(graph.n_nodes, dtype=np.intp)

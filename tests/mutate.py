@@ -14,9 +14,9 @@ killed when tier-1 fails. First, tier-1 must pass on an unmutated copy. It
 prints one line per mutant, with the first failing test of a killed one,
 and exits 1 if a mutant survives that is not marked equivalent, if one
 marked equivalent is killed, or if an old string is not found exactly once.
-On a 2-core machine a killed mutant took 3-80 s (a few are killed only by
+On a 2-core machine a killed mutant took 3-55 s (a few are killed only by
 the long property tests), a survivor the whole of tier-1 (about 25 s), and
-the whole list about 9 minutes.
+the whole list 7-9 minutes.
 """
 
 from __future__ import annotations
@@ -162,9 +162,30 @@ MUTANTS = [
     # graph_core: the rejection regime of growth.
     Mutant(
         "ahead_one_word_more", "graph_core.py",
-        "more = self._rng.integers(_WORD, size=end - len(self.buf), dtype=np.uint64)",
-        "more = self._rng.integers(_WORD, size=end - len(self.buf) + 1, dtype=np.uint64)",
+        "size = max(self._chunk, end - len(self.buf))",
+        "size = max(self._chunk, end - len(self.buf) + 1)",
         "a batch that runs past its words draws one word more than the one-by-one draws",
+    ),
+    # graph_core: a model's growth stream (_Words with a chunk).
+    Mutant(
+        "stream_trim_keeps_a_read_int", "graph_core.py",
+        "del self._ints[:at]", "del self._ints[: at - 1]",
+        "a batch start leaves a read word at the head of the Python-int prefix, misaligned with buf",
+    ),
+    Mutant(
+        "stream_refill_only_a_chunk", "graph_core.py",
+        "size = max(self._chunk, end - len(self.buf))", "size = self._chunk or end - len(self.buf)",
+        "the stream draws a chunk even when a read needs more words than that",
+    ),
+    Mutant(
+        "stream_guard_removed", "graph_core.py",
+        "if self.at < len(self.buf):", "if False:",
+        "an rng.choice draw goes on after the stream has drawn words ahead of it",
+    ),
+    Mutant(
+        "stream_not_trimmed", "graph_core.py",
+        "words = rng.trim() if isinstance(rng, _Words)", "words = rng if isinstance(rng, _Words)",
+        "the stream keeps every word it has read, so it grows with the run",
     ),
     Mutant(
         "rows_sorted_by_column", "graph_core.py",

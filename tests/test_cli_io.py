@@ -12,9 +12,10 @@ from pathlib import Path
 from typing import get_type_hints
 
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from properties import NO_SHRINK
 from tumornet import cli_io, engine, graph_core, sweep, tumor_model
 from tumornet.cli_io import (
     _CONFIG_KEYS,
@@ -519,12 +520,11 @@ class TestSweepTables:
 
 # hypothesis tests a given method with one executor, so the parametrized
 # property tests stand outside the test classes. They report the first
-# failing case as drawn: shrinking a table of random cells can take minutes.
-_NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+# failing case as drawn (NO_SHRINK).
 
 
 @pytest.mark.parametrize("record", TABLE_RECORDS, ids=lambda r: r.__name__)
-@settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_written_records_read_back(record, data):
     records = data.draw(_records(record))
@@ -537,7 +537,7 @@ def test_written_records_read_back(record, data):
 
 
 @pytest.mark.parametrize("record", TABLE_RECORDS, ids=lambda r: r.__name__)
-@settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_a_respelled_cell_reads_only_as_written(record, data):
     # Edit one cell of a written table each way: the reader rejects the

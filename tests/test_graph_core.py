@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from properties import NO_SHRINK
 from reference_graph import as_networkx, generate_er_rowwise, generate_er_skip_scalar, grow
 from reference_model import add_node_linked_checked
 from tumornet import graph_core
@@ -381,8 +382,9 @@ class TestGraphMatchesNetworkx:
         assert [linked_since(g, known) for known in range(n + 2)] == [all(linked[k:]) for k in range(n + 2)]
 
     # An op is (kind, check, k, args): k and args pick its nodes, reduced
-    # to the nodes there are when it runs.
-    @settings(max_examples=150, deadline=None)
+    # to the nodes there are when it runs. A failing case is reported as
+    # drawn: shrinking one took a minute or more.
+    @settings(max_examples=150, deadline=None, phases=NO_SHRINK)
     @given(
         n=st.integers(1, 12),
         p=st.floats(0.0, 1.0),
@@ -826,3 +828,57 @@ class TestGrowthWords:
         assert words.bounded(3) == 1
         assert feed.sizes == [1, 1]
         assert feed.words == [7]
+
+
+class TestGrowthStream:
+    """A model's growth stream, _Words with a chunk, against per-call batches on the same words.
+
+    The stream serves batch after batch and draws chunk words at a time;
+    a per-call batch gets a Generator and draws exactly the words it reads.
+    """
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64, graph_core._STREAM_CHUNK])
+    def test_batches_read_the_per_call_words_within_a_chunk_more(self, chunk):
+        words = _rng(chunk).integers(2**32, size=5000, dtype=np.uint64).tolist()
+        words[7] = 0  # rejected against any range r with 2**32 % r > 0
+        stream_feed, alone_feed = _WordFeed(words), _WordFeed(words)
+        stream = graph_core._Words(stream_feed, chunk=chunk)
+        batch, alone = Graph(20), Graph(20)
+        # Small and large batches; at 20 to 220 nodes, 3 extras often repeat.
+        counts = [1, 5, 2, graph_core._VECTOR_MIN + 4, 1, 40, 3, 1, 60, 7, 90, 2]
+        with mock.patch.object(graph_core, "_REJECTION_POOL_MIN", 8):
+            for j, count in enumerate(counts):
+                n = batch.n_nodes
+                anchors = [(17 * j + 5 * i) % (n + i) for i in range(count)]
+                before = len(alone_feed.words)
+                add_nodes_linked(batch, anchors, 3, stream)
+                add_nodes_linked(alone, anchors, 3, alone_feed)
+                read = before - len(alone_feed.words)
+                assert batch == alone
+                # The batch read its words from the start of buf, which
+                # holds them and at most a chunk more.
+                assert stream.at == read
+                assert len(stream._ints) <= len(stream.buf) <= chunk + read
+                # The words drawn and not yet read, fewer than a chunk, are
+                # the ones the next per-call batch draws first.
+                ahead = len(alone_feed.words) - len(stream_feed.words)
+                assert ahead < chunk
+                assert stream.buf[stream.at :].tolist() == alone_feed.words[:ahead]
+
+    def test_a_choice_draw_follows_the_stream_until_it_reads_ahead(self):
+        # Below _REJECTION_POOL_MIN + 1 nodes a batch draws rng.choice's
+        # bounds from the generator itself, as a per-call batch does.
+        stream, rng = graph_core._Words(_rng(0), chunk=16), _rng(0)
+        batch, alone = Graph(6), Graph(6)
+        with mock.patch.object(graph_core, "_REJECTION_POOL_MIN", 8):
+            add_nodes_linked(batch, [0, 1, 2], 3, stream)
+            add_nodes_linked(alone, [0, 1, 2], 3, rng)
+            assert batch == alone
+            assert stream.generator().bit_generator.state == rng.bit_generator.state
+            # Past 8 nodes the stream draws 16 words and reads 3 of them.
+            add_nodes_linked(batch, [0], 3, stream)
+            assert (stream.at, len(stream.buf)) == (3, 16)
+            grown = Graph(6)
+            with pytest.raises(RuntimeError, match="drawn ahead"):
+                add_nodes_linked(grown, [0], 3, stream)
+        assert grown.n_nodes == 6 and (stream.at, len(stream.buf)) == (3, 16)

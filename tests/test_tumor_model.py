@@ -543,6 +543,18 @@ class TestSpawning:
                 assert got.tolist() == want
                 assert 0 < sum(want) < m.graph.n_edges - m0
 
+    def test_growth_stream_made_at_the_first_spawn(self):
+        # Every cell starts normal, so step 1 spawns nothing and builds no
+        # growth substream; the first spawn makes it, over the same words.
+        m, fresh = _model(spawn_rate=1.0, factors=ControlFactors(1.0, 0.0, 0.5)), _model()
+        step(m)
+        assert "_growth" not in vars(m)
+        cell = int(m.live_ids()[0])
+        _set_state(m, cell, METASTATIC)
+        agent_step(m, [cell])
+        assert "_growth" in vars(m) and m._growth_rng is m._growth._rng
+        assert m._growth_rng.bit_generator.state != fresh._growth_rng.bit_generator.state
+
     def test_spawn_cell_degree_clamped(self):
         m = _model(n_initial=2, p=1.0, K=6)
         child = spawn_cell(m, 0)
@@ -630,21 +642,32 @@ class TestMatchesReference:
     @example(**SPAWN_LINKS_A_LATER_CELL)
     @example(**CROSSES_CAPACITY_GROWTHS)
     def test_same_records_with_batched_spawns(self, **run):
-        # From 9 nodes on, the array steps spawn through add_nodes_linked's batch.
+        # From 9 nodes on, the spawns rejection-sample in add_nodes_linked's
+        # batch, reading the model's growth stream. Streams that draw 1 or 3
+        # words at a time refill and trim inside most batches; each flat
+        # model must still read the words the reference draws one by one.
         with mock.patch.object(graph_core, "_REJECTION_POOL_MIN", 8):
-            self._check(**run)
+            self._check(**run, chunks=(1, 3, graph_core._STREAM_CHUNK))
 
     @staticmethod
-    def _check(n, K, density, factors, rates, seed, steps):
+    def _check(n, K, density, factors, rates, seed, steps, chunks=(graph_core._STREAM_CHUNK,)):
         config = _run_config(n, K, density, factors, rates, seed)
-        flat, ref = init_model(config), ReferenceModel(config)
+        ref, flats = ReferenceModel(config), []
+        for chunk in chunks:
+            with mock.patch.object(graph_core, "_STREAM_CHUNK", chunk):
+                flats.append(init_model(config))
+                # The stream takes its chunk when it is made.
+                assert flats[-1]._growth._chunk == chunk
         for _ in range(steps):
-            assert step(flat) == step(ref)
+            record = step(ref)
+            for chunk, flat in zip(chunks, flats):
+                assert step(flat) == record, f"chunk {chunk}"
             # Growth can be exponential; the comparison has made its point.
-            if flat.graph.n_nodes > 3000 or not len(flat.live_ids()):
+            if ref.graph.n_nodes > 3000 or not record.count_live:
                 break
-        assert flat.graph == ref.graph
-        assert flat.state.tolist() == [a.state.value for a in ref.agents]
+        for chunk, flat in zip(chunks, flats):
+            assert flat.graph == ref.graph, f"chunk {chunk}"
+            assert flat.state.tolist() == [a.state.value for a in ref.agents], f"chunk {chunk}"
 
 
 class TestStepPaths:
